@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import kernels
-from .errors import BoundaryStateError, InvalidConfigError
+from .errors import BoundaryStateError, IntegrationDivergedError, InvalidConfigError
 from .numerics import SeededRng, Trajectory
 
 #: sentinel returned by classifiers for separatrix-band states
@@ -282,6 +282,18 @@ def _hist_entropy(samples, bins, lo, hi):
     return float(-np.sum(p * np.log(p)) + np.log(width))
 
 
+def _advance(params: DoubleWellParams, p, work, sched, noise, inv_gamma, step, phase):
+    """One kernel chunk ending at `step` of `phase`. A non-finite state raises
+    IntegrationDivergedError; the overflow warnings on the way there are
+    silenced because that error reports the divergence."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        p, work = kernels.doublewell_chunk(p, work, sched, noise, params.a, params.b,
+                                           params.c, inv_gamma, params.dt)
+    if not np.isfinite(p).all():
+        raise IntegrationDivergedError(step, f"non-finite double-well state by {phase} step {step}")
+    return p, work
+
+
 def _run_protocol(params: DoubleWellParams, schedule, T_protocol, trials, rng: SeededRng,
                   init_labels, space: EncodingSpace):
     """Shared driver: burn-in, chunked Langevin march, snapshot bookkeeping."""
@@ -304,8 +316,8 @@ def _run_protocol(params: DoubleWellParams, schedule, T_protocol, trials, rng: S
         const_sched = np.full(burn_steps + 1, schedule[0])
         noise = sigma * gen.standard_normal((burn_steps, trials))
         work0 = np.zeros(trials)
-        p, _ = kernels.doublewell_chunk(p, work0, const_sched, noise,
-                                        params.a, params.b, params.c, inv_gamma, dt)
+        p, _ = _advance(params, p, work0, const_sched, noise, inv_gamma,
+                        burn_steps, "burn-in")
 
     work = np.zeros(trials)
     p0 = p.copy()
@@ -317,8 +329,8 @@ def _run_protocol(params: DoubleWellParams, schedule, T_protocol, trials, rng: S
     while s < steps:
         m = min(sample_every, steps - s)
         noise = sigma * gen.standard_normal((m, trials))
-        p, work = kernels.doublewell_chunk(p, work, schedule[s : s + m + 1], noise,
-                                           params.a, params.b, params.c, inv_gamma, dt)
+        p, work = _advance(params, p, work, schedule[s : s + m + 1], noise, inv_gamma,
+                           s + m, "protocol")
         s += m
         snap_steps.append(s)
         snaps.append(p.copy())

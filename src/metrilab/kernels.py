@@ -1,9 +1,15 @@
 """Hot numeric kernels: numba @njit implementations with pure-numpy fallbacks.
 
 The active path is chosen at import time: numba is used when importable unless
-the environment variable METRILAB_NO_NUMBA is set to a truthy value. Both
-paths implement identical arithmetic (bit-exact for the integer lattice
-kernel) and are compared in benchmarks/bench_kernels.py.
+the environment variable METRILAB_NO_NUMBA is set to a truthy value. The
+`_*_loops` functions are the numba bodies and, run as plain Python, the
+reference the numpy paths are tested against (tests/test_kernels.py):
+
+- lattice step and double well: the numpy path is bit-exact;
+- patch entropy, rotor and ESN: the numpy path sums or rounds in another
+  order and agrees within the tested tolerances (1e-12 in the tests).
+
+benchmarks/bench_kernels.py times both paths.
 """
 
 import os
@@ -184,14 +190,33 @@ def _doublewell_chunk_loops(p, work, csched, noise, a, b, c, inv_gamma, dt):
 
 
 def _doublewell_chunk_numpy(p, work, csched, noise, a, b, c, inv_gamma, dt):
+    # Same operations, in the same association order, as _doublewell_chunk_loops
+    # (IEEE + and * are commutative, so only the grouping matters), which keeps
+    # the two paths bit-exact. x*x*x also avoids float64 `power`, which is
+    # slow for negative bases.
     m = noise.shape[0]
+    coef = -c * (csched[1:] - csched[:-1])
+    cc1 = c * csched[1:]
+    a4 = -4.0 * a
+    b2 = 2.0 * b
+    h = dt * inv_gamma
+    x = p.copy()  # the caller's p is not mutated
+    t = np.empty_like(x)
+    u = np.empty_like(x)
     for s in range(m):
-        c0 = csched[s]
-        c1 = csched[s + 1]
-        work += -c * (c1 - c0) * p
-        force = -4.0 * a * p**3 + 2.0 * b * p + c * c1
-        p = p + dt * inv_gamma * force + noise[s]
-    return p, work
+        np.multiply(x, coef[s], out=t)
+        work += t
+        np.multiply(x, a4, out=t)
+        t *= x
+        t *= x
+        np.multiply(x, b2, out=u)
+        t += u
+        t += cc1[s]
+        t *= h
+        t += x
+        t += noise[s]
+        x, t = t, x
+    return x, work
 
 
 # ---------------------------------------------------------------------------

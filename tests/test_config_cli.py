@@ -142,6 +142,16 @@ class TestCLI:
         rep = json.loads((out / "monitor.json").read_text())
         assert rep["counts"]["info_rate"] == 50
 
+    def test_bitflip_divergence_exits_numerical(self, tmp_path, capsys):
+        # dt = 0.3 is past the explicit step's stability limit in the wells
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("[bitflip]\ndt = 0.3\ntrials = 20\ndurations = [1.0]\n")
+        code = run_cli("bitflip", "--config", str(cfg), "--out", str(tmp_path / "b"), "--quiet")
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "numerical-failure"
+        assert err["kind"] == "IntegrationDivergedError"
+
     def test_erasure_subcommand(self, tmp_path):
         out = tmp_path / "e"
         cfg = tmp_path / "c.cfg"

@@ -1,5 +1,7 @@
-"""Both kernel paths (numba jit and pure numpy) must implement identical
-arithmetic; the lattice update must agree bit-exactly."""
+"""Each numpy kernel path against its reference loop, run as plain Python
+(the loops are also the numba bodies): the lattice and double-well paths
+must agree bit-exactly; patch entropy, rotor and ESN within the tolerances
+below."""
 
 import numpy as np
 
@@ -17,7 +19,7 @@ def test_ca_step_paths_agree_and_conserve():
     for _ in range(10):
         E = random_grid(gen)
         for Kdiv in (1, 4, 8):
-            a_new, a_fl = K._ca_step_impl(E, np.int64(Kdiv), K.MOORE_OFFSETS)
+            a_new, a_fl = K._ca_step_loops(E, np.int64(Kdiv), K.MOORE_OFFSETS)
             b_new, b_fl = K._ca_step_numpy(E, Kdiv, K.MOORE_OFFSETS)
             assert a_new.sum() == E.sum() == b_new.sum()
             assert np.array_equal(a_new, b_new)
@@ -28,7 +30,7 @@ def test_ca_step_paths_agree_and_conserve():
 def test_patch_entropy_paths_agree():
     gen = np.random.default_rng(1)
     E = gen.integers(0, 200, size=(40, 40)).astype(np.int64)
-    a = K._patch_entropy_impl(E, np.int64(8), np.int64(4), np.int64(128), np.int64(250))
+    a = K._patch_entropy_loops(E, np.int64(8), np.int64(4), np.int64(128), np.int64(250))
     b = K._patch_entropy_numpy(E, 8, 4, 128, 250)
     assert a.shape == (9, 9)
     assert np.allclose(a, b, atol=1e-12)
@@ -41,15 +43,22 @@ def test_patch_entropy_uniform_patch_is_zero():
 
 
 def test_doublewell_paths_agree():
+    # the numpy path runs the loop's operations in the loop's order, so the
+    # plain-Python loop is a bit-exact oracle; the ensemble starts in the
+    # negative well and crosses the barrier under a sine tilt
     gen = np.random.default_rng(2)
-    p = gen.standard_normal(50)
-    w = np.zeros(50)
-    cs = np.linspace(-2, 2, 101)
-    noise = 0.01 * gen.standard_normal((100, 50))
-    pa, wa = K._doublewell_chunk_impl(p.copy(), w.copy(), cs, noise, 1.0, 2.0, 1.0, 1.0, 0.002)
-    pb, wb = K._doublewell_chunk_numpy(p.copy(), w.copy(), cs, noise, 1.0, 2.0, 1.0, 1.0, 0.002)
-    assert np.allclose(pa, pb, atol=1e-14)
-    assert np.allclose(wa, wb, atol=1e-14)
+    trials, steps = 40, 600
+    p = -1.4 + 0.05 * gen.standard_normal(trials)
+    cs = 2.0 * np.sin(np.pi * np.arange(steps + 1) / steps - np.pi / 2.0)
+    noise = 0.06 * gen.standard_normal((steps, trials))
+    args = (cs, noise, 1.0, 2.0, 1.0, 1.0, 0.01)
+    p_in = p.copy()
+    pa, wa = K._doublewell_chunk_loops(p.copy(), np.zeros(trials), *args)
+    pb, wb = K._doublewell_chunk_numpy(p, np.zeros(trials), *args)
+    assert (pa > 0).mean() > 0.5  # the barrier was crossed
+    assert np.array_equal(pa, pb)
+    assert np.array_equal(wa, wb)
+    assert np.array_equal(p, p_in)  # caller's state untouched
 
 
 def test_rotor_paths_agree_and_rotation_is_exact():
@@ -63,7 +72,7 @@ def test_rotor_paths_agree_and_rotation_is_exact():
     cw, sw = np.cos(om * 0.05), np.sin(om * 0.05)
     sa = np.empty((30, 10))
     sb = np.empty((30, 10))
-    K._rotor_chunk_impl(x0.copy(), cw, sw, 0.5, bv, u, nz, 0.05, sa)
+    K._rotor_chunk_loops(x0.copy(), cw, sw, 0.5, bv, u, nz, 0.05, sa)
     K._rotor_chunk_numpy(x0.copy(), cw, sw, 0.5, bv, u, nz, 0.05, sb)
     assert np.allclose(sa, sb, atol=1e-12)
     # lam = 0, no input, no noise: the reversible split step preserves the norm
@@ -80,7 +89,7 @@ def test_esn_paths_agree():
     nz = 0.01 * gen.standard_normal((40, 12))
     ea = np.empty((40, 12))
     eb = np.empty((40, 12))
-    K._esn_collect_impl(np.ascontiguousarray(W), win, y, 0.3, nz, ea)
+    K._esn_collect_loops(np.ascontiguousarray(W), win, y, 0.3, nz, ea)
     K._esn_collect_numpy(W, win, y, 0.3, nz, eb)
     assert np.allclose(ea, eb, atol=1e-12)
 
