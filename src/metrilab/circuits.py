@@ -11,6 +11,7 @@ worst-case drive sums of adjacent truth-table rows so that any analog input
 level inside a logical interval yields the same output label.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -23,7 +24,7 @@ from .errors import (
     NonFixedPointError,
     NoSettleError,
 )
-from .numerics import SeededRng
+from .numerics import SeededRng, rk4_step
 
 GATE_DEFAULTS = {
     "gain": 8.0,     # logistic steepness
@@ -97,17 +98,18 @@ class CircuitGraph:
         self._index = {n: i for i, n in enumerate(self.node_names)}
         self._validate()
         n = len(self.node_names)
-        self._W = np.zeros((n, n))
+        W = np.zeros((n, n))
         for src, dst, w in self.edges:
-            self._W[self._index[dst], self._index[src]] += w
+            W[self._index[dst], self._index[src]] += w
+        self._WT = W.T.copy()
         self._bias = np.array([self.nodes[m].params.get("bias", 0.0) for m in self.node_names])
         self._gain = np.array([self.nodes[m].params.get("gain", GATE_DEFAULTS["gain"]) for m in self.node_names])
+        self._neg_gain = -self._gain
         self._leak = np.array([self.nodes[m].params.get("leak", 1.0) for m in self.node_names])
         self._omega = np.array([self.nodes[m].params.get("omega", 0.0) for m in self.node_names])
-        self._kind = [self.nodes[m].kind for m in self.node_names]
-        self._act = np.array([k == "activation" for k in self._kind])
-        self._intg = np.array([k == "integrator" for k in self._kind])
-        self._osc = np.array([k == "oscillator" for k in self._kind])
+        kinds = np.array([self.nodes[m].kind for m in self.node_names])
+        self._intg, self._act, self._osc = (kinds == k for k in NODE_KINDS)
+        self._all_act = bool(self._act.all())
 
     def _validate(self):
         for src, dst, _ in self.edges:
@@ -125,103 +127,140 @@ class CircuitGraph:
     def dim(self):
         return len(self.node_names)
 
-    def drive(self, x, inputs):
-        v = self._W @ x
-        for port, value in inputs.items():
-            if port not in self.input_ports:
-                raise ValueError(f"unknown input port {port!r}")
-            for node, w in self.input_ports[port]:
-                v[self._index[node]] += w * value
-        return v
+    def injection(self, inputs):
+        """Input drive each node receives from clamped ports: shape (n,) for
+        one inputs dict, (rows, n) for a list of them."""
+        rows = [inputs] if isinstance(inputs, dict) else list(inputs)
+        U = np.zeros((len(rows), self.dim))
+        for r, row in enumerate(rows):
+            for port, value in row.items():
+                if port not in self.input_ports:
+                    raise ValueError(f"unknown input port {port!r}")
+                for node, w in self.input_ports[port]:
+                    U[r, self._index[node]] += w * value
+        return U[0] if isinstance(inputs, dict) else U
 
-    def field(self, x, inputs):
-        v = self.drive(x, inputs)
-        dx = np.empty_like(x)
-        a = self._act
-        dx[a] = -x[a] + logistic(self._gain[a] * (v[a] + self._bias[a]))
-        i = self._intg
-        dx[i] = -self._leak[i] * x[i] + v[i]
-        o = self._osc
-        dx[o] = self._omega[o] + v[o]
+    def drive(self, x, u):
+        return np.dot(x, self._WT) + u
+
+    def field(self, x, u):
+        """Vector field at states x, shape (n,) or (rows, n), under the input
+        injection u from `injection` (broadcast against x)."""
+        v = self.drive(x, u)
+        if self._all_act:
+            # logistic(gain * (v + bias)) - x, with the sign folded into the gain
+            return 1.0 / (1.0 + np.exp(self._neg_gain * (v + self._bias))) - x
+        dx = np.empty_like(v)
+        a, i, o = self._act, self._intg, self._osc
+        dx[..., a] = logistic(self._gain[a] * (v[..., a] + self._bias[a])) - x[..., a]
+        dx[..., i] = v[..., i] - self._leak[i] * x[..., i]
+        dx[..., o] = self._omega[o] + v[..., o]
         return dx
 
     def state_of(self, x, node):
         return float(x[self._index[node]])
 
 
-def integrate_circuit(circuit: CircuitGraph, inputs, x0, T, dt=0.02, noise=0.0,
-                      gen: Optional[np.random.Generator] = None):
-    """Clamped-input RK4 integration (plus optional additive state noise);
-    returns the state time series including the initial state."""
+def integrate_circuit(circuit: CircuitGraph, inputs, x0, T, dt=0.02, noise=0.0, gen=None):
+    """Clamped-input RK4 integration (plus optional additive state noise) of
+    one state (n,) or a batch (rows, n); returns the time series including
+    the initial state, shape (steps + 1,) + x0.shape. `gen` is one Generator,
+    or for a batch a list with one per row (row i draws from gen[i] alone)."""
     steps = int(round(T / dt))
-    x = np.asarray(x0, dtype=float).copy()
-    out = np.empty((steps + 1, circuit.dim))
+    x = np.array(x0, dtype=float)
+    u = circuit.injection(inputs)
+    f = lambda s: circuit.field(s, u)
+    kicks = None
+    if noise > 0.0 and gen is not None:
+        if isinstance(gen, np.random.Generator):
+            kicks = gen.standard_normal((steps,) + x.shape)
+        else:
+            kicks = np.stack([g.standard_normal((steps, circuit.dim)) for g in gen], axis=1)
+        kicks *= noise * np.sqrt(dt)
+    out = np.empty((steps + 1,) + x.shape)
     out[0] = x
-    sq = np.sqrt(dt)
-    f = lambda s: circuit.field(s, inputs)
     for k in range(steps):
-        k1 = f(x)
-        k2 = f(x + 0.5 * dt * k1)
-        k3 = f(x + 0.5 * dt * k2)
-        k4 = f(x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if noise > 0.0 and gen is not None:
-            x = x + noise * sq * gen.standard_normal(circuit.dim)
+        x = rk4_step(f, x, dt)
+        if kicks is not None:
+            x = x + kicks[k]
         out[k + 1] = x
     return out
 
 
+_SETTLE_CHUNK = 32  # steps integrated between settle checks
+
+# per row of a batched settle: labels, state and step number where it settled
+SettledRows = namedtuple("SettledRows", "labels states steps")
+
+
 def settle_and_read(circuit: CircuitGraph, inputs, readout: LogicalReadout,
-                    x0=None, noise=0.0, rng: Optional[SeededRng] = None,
-                    return_state=False):
+                    x0=None, noise=0.0, rng=None, return_state=False):
     """Integrate with inputs clamped until every encoding-port state has sat
     inside a single logical interval for a full window, then return labels.
+
+    `inputs` is one inputs dict (returns its labels, plus the state when
+    `return_state` is set) or a list of them, settled as one batch into a
+    SettledRows; then `x0` holds one state and `rng` one SeededRng per row,
+    and every row reads exactly as if it had been settled alone.
 
     Raises NoSettleError if an encoding state is still in the forbidden band
     at t_max, and NonFixedPointError if labels are stable but the state keeps
     moving by more than `tol` across the window (limit cycle inside an
-    interval)."""
+    interval); in a batch, for the lowest-index row that did not settle."""
+    single = isinstance(inputs, dict)
+    if single:
+        inputs, x0, rng = [inputs], None if x0 is None else [x0], None if rng is None else [rng]
+    rows, n = len(inputs), circuit.dim
     dt = readout.dt
     steps = int(round(readout.t_max / dt))
-    window_steps = max(1, int(round(readout.window / dt)))
-    gen = rng.generator() if (rng is not None and noise > 0.0) else None
-    x = np.zeros(circuit.dim) if x0 is None else np.asarray(x0, dtype=float).copy()
-    enc_idx = {port: circuit._index[node] for port, node in circuit.encoding_ports.items()}
-    sq = np.sqrt(dt)
-    f = lambda s: circuit.field(s, inputs)
-
+    window = max(1, int(round(readout.window / dt)))
     tol = readout.tol if noise == 0.0 else max(readout.tol, 8.0 * noise)
-    run_labels = None
-    run_len = 0
-    history = [x.copy()]
-    for k in range(steps):
-        k1 = f(x)
-        k2 = f(x + 0.5 * dt * k1)
-        k3 = f(x + 0.5 * dt * k2)
-        k4 = f(x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if noise > 0.0 and gen is not None:
-            x = x + noise * sq * gen.standard_normal(circuit.dim)
-        history.append(x.copy())
-        if len(history) > window_steps + 1:
-            history.pop(0)
-        labels = {port: readout.label(x[i]) for port, i in enc_idx.items()}
-        if None in labels.values():
-            run_labels, run_len = None, 0
-            continue
-        if labels == run_labels:
-            run_len += 1
-        else:
-            run_labels, run_len = labels, 1
-        if run_len >= window_steps:
-            move = float(np.max(np.abs(history[-1] - history[0])))
-            if move <= tol:
-                return (run_labels, x) if return_state else run_labels
-    if run_len >= window_steps:
-        raise NonFixedPointError(
-            f"labels held but the state kept moving past t_max={readout.t_max} "
-            "(non-fixed-point attractor inside a logical interval)")
-    raise NoSettleError(f"no settle within t_max={readout.t_max}", final_state=x)
+    gens = [r.generator() for r in rng] if (rng and noise > 0.0) else None
+    enc = [circuit._index[node] for node in circuit.encoding_ports.values()]
+
+    # Steps run in chunks; labels, run lengths and the window move of a chunk
+    # are checked after it, and a row's result is taken from the first step
+    # that met the settle condition. buf holds states s - window .. s + chunk
+    # for the chunk starting at step s, with state s at index `window`.
+    buf = np.empty((window + _SETTLE_CHUNK + 1, rows, n))
+    buf[window] = 0.0 if x0 is None else x0
+    run_labels = np.full((rows, len(enc)), -2)   # labels at the step before the chunk
+    run_len = np.zeros(rows, dtype=int)
+    done = np.zeros(rows, dtype=bool)
+    settled = SettledRows([None] * rows, np.empty((rows, n)), np.zeros(rows, dtype=int))
+    for s in range(0, steps, _SETTLE_CHUNK):
+        m = min(_SETTLE_CHUNK, steps - s)
+        buf[window : window + m + 1] = integrate_circuit(circuit, inputs, buf[window], m * dt, dt, noise, gens)
+        e = buf[window + 1 : window + 1 + m][:, :, enc]
+        labels = np.where(e <= readout.low_max, 0, np.where(e >= readout.high_min, 1, -1))
+        prev = np.concatenate([run_labels[None], labels[:-1]])
+        at = np.arange(m)[:, None]
+        start = np.maximum.accumulate(np.where((labels != prev).any(axis=2), at, -1), axis=0)
+        length = np.where(start >= 0, at - start + 1, run_len + at + 1)
+        length[(labels < 0).any(axis=2)] = 0
+        kk, rr = np.nonzero((length >= window) & ~done)
+        still = np.abs(buf[window + 1 + kk, rr] - buf[kk + 1, rr]).max(axis=1) <= tol
+        for k, r in zip(kk[still], rr[still]):
+            if not done[r]:
+                done[r] = True
+                settled.labels[r] = dict(zip(circuit.encoding_ports, labels[k, r].tolist()))
+                settled.states[r] = buf[window + 1 + k, r]
+                settled.steps[r] = s + 1 + k
+        if done.all():
+            break
+        run_labels, run_len = labels[-1], length[-1]
+        buf[: window + 1] = buf[m : m + window + 1]
+    else:
+        i = int(np.flatnonzero(~done)[0])
+        if run_len[i] >= window:
+            raise NonFixedPointError(
+                f"labels held but the state kept moving past t_max={readout.t_max} "
+                "(non-fixed-point attractor inside a logical interval)")
+        raise NoSettleError(f"no settle within t_max={readout.t_max}", final_state=buf[window, i].copy())
+    if single:
+        labels, state = settled.labels[0], settled.states[0]
+        return (labels, state) if return_state else labels
+    return settled
 
 
 # ---------------------------------------------------------------------------
@@ -232,21 +271,21 @@ def _activation_node(gain, bias):
     return NodeSpec("activation", {"gain": gain, "bias": bias})
 
 
-def _feedforward_fixed_point(circuit: CircuitGraph, inputs):
-    """Exact attractor of an acyclic gate by forward propagation."""
-    n = circuit.dim
-    x = np.zeros(n)
+def _feedforward_fixed_points(circuit: CircuitGraph, rows):
+    """Exact attractors of an acyclic gate by forward propagation, one per
+    inputs dict in rows."""
+    u = circuit.injection(rows)
+    x = np.zeros_like(u)
     # iterate n passes: suffices for any topological depth <= n
-    for _ in range(n):
-        v = circuit.drive(x, inputs)
-        x = logistic(circuit._gain * (v + circuit._bias))
+    for _ in range(circuit.dim):
+        x = logistic(circuit._gain * (circuit.drive(x, u) + circuit._bias))
     return x
 
 
 def _validate_combinational(circuit, truth, readout=None):
     readout = readout or LogicalReadout()
-    for row_inputs, expected in truth:
-        x = _feedforward_fixed_point(circuit, row_inputs)
+    states = _feedforward_fixed_points(circuit, [row for row, _ in truth])
+    for (row_inputs, expected), x in zip(truth, states):
         for port, want in expected.items():
             got = readout.label(circuit.state_of(x, circuit.encoding_ports[port]))
             if got != want:
@@ -323,14 +362,12 @@ def build_gate(kind, params=None) -> CircuitGraph:
 
 
 def _validate_flipflop(circ):
-    readout = LogicalReadout()
-    for hi, lo, want in (("A", "B", {"q": 1, "qbar": 0}), ("B", "A", {"q": 0, "qbar": 1})):
-        x0 = np.zeros(circ.dim)
-        x0[circ._index[hi]] = 1.0
-        try:
-            labels = settle_and_read(circ, {"set": 0.0, "reset": 0.0}, readout, x0=x0)
-        except (NoSettleError, NonFixedPointError) as exc:
-            raise InvalidGateParamsError(f"flip-flop failed to hold from {hi}-high: {exc}") from exc
+    # rows: A high, then B high
+    try:
+        held = settle_and_read(circ, [{"set": 0.0, "reset": 0.0}] * 2, LogicalReadout(), x0=np.eye(2))
+    except (NoSettleError, NonFixedPointError) as exc:
+        raise InvalidGateParamsError(f"flip-flop failed to hold: {exc}") from exc
+    for hi, want, labels in zip("AB", ({"q": 1, "qbar": 0}, {"q": 0, "qbar": 1}), held.labels):
         if labels != want:
             raise InvalidGateParamsError(f"flip-flop holds wrong labels from {hi}-high: {labels}")
 
@@ -412,11 +449,12 @@ class TruthTableResult:
 
 def verify_truth_table(circuit: CircuitGraph, table, readout: LogicalReadout,
                        noise=0.0, rng: Optional[SeededRng] = None) -> TruthTableResult:
-    """Run settle_and_read per row; rows are (inputs dict, expected label dict)."""
+    """Settle every row as one batch; rows are (inputs dict, expected label
+    dict), and row i draws its noise from rng.derive(i)."""
+    rngs = None if rng is None else [rng.derive(i) for i in range(len(table))]
+    settled = settle_and_read(circuit, [row for row, _ in table], readout, noise=noise, rng=rngs)
     bad = []
-    for i, (row_inputs, expected) in enumerate(table):
-        r = rng.derive(i) if rng is not None else None
-        labels = settle_and_read(circuit, row_inputs, readout, noise=noise, rng=r)
+    for (row_inputs, expected), labels in zip(table, settled.labels):
         for port, want in expected.items():
             if labels[port] != want:
                 bad.append({"inputs": dict(row_inputs), "port": port,
@@ -432,15 +470,18 @@ def logical_table(kind):
     return [({"in1": float(a), "in2": float(b)}, {"out": out}) for (a, b), out in table]
 
 
+FLIPFLOP_BAND = 0.1  # |x_A - x_B| at or below this stores no bit
+
+
 def flipflop_space(alpha=1.0) -> EncodingSpace:
     """Two-label encoding over the cross-coupled pair: sign of x_A - x_B with a
     small undecided band."""
 
     def classify(x, c=0.0):
         d = x[0] - x[1] if np.ndim(x) else x
-        if d > 0.1:
+        if d > FLIPFLOP_BAND:
             return 1
-        if d < -0.1:
+        if d < -FLIPFLOP_BAND:
             return 0
         return BOUNDARY
 

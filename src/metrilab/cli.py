@@ -11,6 +11,7 @@ wall time and is the one artifact excluded from the byte-identity guarantee.
 import argparse
 import json
 import os
+import platform
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -18,7 +19,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__
+from . import __version__, kernels
 from .cce import landauer_bound, simulate_bitflip, simulate_erasure
 from .circuits import (
     GATE_DEFAULTS,
@@ -86,8 +87,8 @@ def _gate_rows(gcfg, seed):
                                      rng=rng.derive(i) if noise else None)
             rows.append({"gate": kind, "noise": noise, "passed": res.passed,
                          "counterexamples": len(res.counterexamples)})
+    ff = build_gate("FLIPFLOP", params)
     for noise in (0.0, gcfg.noise):
-        ff = build_gate("FLIPFLOP", params)
         ok = True
         try:
             readings, _ = run_flipflop(
@@ -352,6 +353,8 @@ def main(argv=None):
         "out": out,
         "parameters": cfg.resolved(),
         "code_version": __version__,
+        "kernel_path": "numba" if kernels.USE_NUMBA else "numpy",
+        "versions": {"python": platform.python_version(), "numpy": np.__version__},
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "wall_time_s": round(time.time() - start, 3),
         "exit_code": code,

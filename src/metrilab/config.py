@@ -120,6 +120,10 @@ class GatesConfig:
     g_ff: float = 2.0
     h_ff: float = 2.0
 
+    def __post_init__(self):
+        if not (np.isfinite(self.noise) and self.noise >= 0.0):
+            raise InvalidConfigError(f"gates.noise must be finite and >= 0, got {self.noise!r}")
+
     def gate_params(self):
         return {k: getattr(self, k) for k in
                 ("gain", "w", "theta_and", "theta_or", "b_not", "g_ff", "h_ff")}

@@ -12,8 +12,14 @@ from typing import Optional
 
 import numpy as np
 
-from .cce import BOUNDARY
-from .circuits import CircuitGraph, LogicalReadout, flipflop_space, integrate_circuit, read_stored_bit
+from .circuits import (
+    FLIPFLOP_BAND,
+    CircuitGraph,
+    LogicalReadout,
+    flipflop_space,
+    integrate_circuit,
+    read_stored_bit,
+)
 from .errors import (
     AmbiguousStateError,
     ChannelIrregularError,
@@ -376,38 +382,36 @@ def recovery_probe(circuit: CircuitGraph, x_base, delta, T, trials, rng: SeededR
                    readout: Optional[LogicalReadout] = None):
     """Kick a settled bistable circuit with random perturbations of norm <= delta
     and measure the fraction returning to the original label (R_T) plus the
-    mean ledger entropy spent on label transitions during recovery (C_T)."""
+    mean ledger entropy spent on label transitions during recovery (C_T).
+
+    All kicks are drawn first (direction, then radius, per trial); the trials
+    then recover as one batch."""
     readout = readout or LogicalReadout()
     x_base = np.asarray(x_base, dtype=float)
     base_bit = read_stored_bit(circuit, x_base, readout)
     space = flipflop_space()
     gen = rng.generator()
     n = circuit.dim
-    recovered = 0
-    entropy = 0.0
-    for _ in range(trials):
-        if delta > 0:
+    x0 = np.tile(x_base, (trials, 1))
+    if delta > 0:
+        for k in range(trials):
             direction = gen.standard_normal(n)
             direction /= np.linalg.norm(direction)
             r = delta * gen.uniform() ** (1.0 / n)
-            x0 = x_base + r * direction
-        else:
-            x0 = x_base.copy()
-        traj = integrate_circuit(circuit, {"set": 0.0, "reset": 0.0}, x0, T, dt=readout.dt)
-        labels = [space.classify(row[:2]) for row in traj]
-        prev = base_bit
-        jumps = 0
-        for lab in labels:
-            if lab == BOUNDARY:
-                continue
-            if lab != prev:
-                jumps += 1
-                prev = lab
-        entropy += jumps * space.alpha * np.log(2.0)
+            x0[k] = x_base + r * direction
+    traj = integrate_circuit(circuit, {"set": 0.0, "reset": 0.0}, x0, T, dt=readout.dt)
+    # side of the band per (step, trial), -1 inside it; a band sample keeps
+    # the side before it, starting from the base bit
+    d = traj[:, :, 0] - traj[:, :, 1]
+    side = np.vstack([np.full(trials, base_bit),
+                      np.where(d > FLIPFLOP_BAND, 1, np.where(d < -FLIPFLOP_BAND, 0, -1))])
+    seen = np.maximum.accumulate(np.where(side >= 0, np.arange(len(side))[:, None], 0), axis=0)
+    jumps = np.count_nonzero(np.diff(np.take_along_axis(side, seen, axis=0), axis=0), axis=0)
+    entropy = sum(j * space.alpha * np.log(2.0) for j in jumps.tolist())
+    recovered = 0
+    for x_final in traj[-1]:
         try:
-            final = read_stored_bit(circuit, traj[-1], readout)
+            recovered += read_stored_bit(circuit, x_final, readout) == base_bit
         except AmbiguousStateError:
             continue
-        if final == base_bit:
-            recovered += 1
     return {"R_T": recovered / trials, "C_T": entropy / trials}

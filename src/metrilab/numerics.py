@@ -73,14 +73,11 @@ def integrate_rk4(field, x0, dt, steps) -> Trajectory:
     if steps < 1:
         raise ValueError("steps must be >= 1")
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
+    f = lambda s: np.asarray(field(s))
     out = np.empty((steps + 1, x.size))
     out[0] = x
     for i in range(steps):
-        k1 = np.asarray(field(x))
-        k2 = np.asarray(field(x + 0.5 * dt * k1))
-        k3 = np.asarray(field(x + 0.5 * dt * k2))
-        k4 = np.asarray(field(x + dt * k3))
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = rk4_step(f, x, dt)
         _check_finite(x, i)
         out[i + 1] = x
     times = dt * np.arange(steps + 1)
@@ -88,7 +85,9 @@ def integrate_rk4(field, x0, dt, steps) -> Trajectory:
 
 
 def rk4_step(field, x, dt):
-    """Single RK4 step; used by circuit integration."""
+    """One classical RK4 step of x' = field(x): the package's single RK4
+    step. x may have any shape, so a (batch, n) state steps every row at once
+    when field maps rows independently."""
     k1 = field(x)
     k2 = field(x + 0.5 * dt * k1)
     k3 = field(x + 0.5 * dt * k2)

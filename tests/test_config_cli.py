@@ -1,9 +1,11 @@
 import json
 import os
+import platform
 
 import numpy as np
 import pytest
 
+from metrilab import kernels
 from metrilab.cli import main
 from metrilab.config import parse_config, parse_config_text, parse_value
 from metrilab.errors import InvalidConfigError
@@ -93,6 +95,8 @@ class TestCLI:
         assert manifest["seed"] == 5
         assert manifest["parameters"]["exp1"]["steps"] == 400
         assert "timestamp" in manifest
+        assert manifest["kernel_path"] == ("numba" if kernels.USE_NUMBA else "numpy")
+        assert manifest["versions"] == {"python": platform.python_version(), "numpy": np.__version__}
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -121,6 +125,18 @@ class TestCLI:
         gates = {row.split(",")[0] for row in lines[1:]}
         assert gates == {"NOT", "AND", "OR", "NAND", "NOR", "XOR", "FLIPFLOP"}
         assert all(row.split(",")[2] == "1" for row in lines[1:])
+
+    @pytest.mark.parametrize("noise", ("-0.1", "nan", "inf"))
+    def test_gates_rejects_bad_noise(self, tmp_path, capsys, noise):
+        # a negative or non-finite noise would run noiseless yet report a noisy row
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"[gates]\nnoise = {noise}\n")
+        out = tmp_path / "g"
+        assert run_cli("gates", "--config", str(cfg), "--out", str(out), "--quiet") == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config-error"
+        assert "gates.noise" in err["detail"]
+        assert not (out / "gates.csv").exists()
 
     def test_checks_corrupted_preset_fails_with_named_rows(self, tmp_path):
         out = tmp_path / "k"
