@@ -132,7 +132,6 @@ def _write_trials_csv(path, report):
 
 def _handle_bitflip(cfg: RunConfig, seed, out, threads, quiet):
     pc = cfg.bitflip
-    params = pc.params()
     result = ExperimentResult(
         name="bitflip",
         columns=["T_protocol", "success_prob", "work_total", "heat_env",
@@ -141,7 +140,7 @@ def _handle_bitflip(cfg: RunConfig, seed, out, threads, quiet):
     )
     last = None
     for i, T in enumerate(pc.duration_sweep()):
-        rep = simulate_bitflip(params, T, pc.trials, SeededRng(seed).derive(i))
+        rep = simulate_bitflip(pc, T, pc.trials, SeededRng(seed).derive(i))
         result.add_row(T_protocol=T, success_prob=rep.success_prob, work_total=rep.work_total,
                        heat_env=rep.heat_env, dU_sys=rep.dU_sys, dS_sys=rep.dS_sys,
                        dissipated_work=rep.dissipated_work, work_std=rep.work_std)
@@ -157,7 +156,7 @@ def _handle_bitflip(cfg: RunConfig, seed, out, threads, quiet):
 
 def _handle_erasure(cfg: RunConfig, seed, out, threads, quiet):
     pc = cfg.erasure
-    rep = simulate_erasure(pc.params(), pc.T_protocol, pc.trials, SeededRng(seed))
+    rep = simulate_erasure(pc, pc.T_protocol, pc.trials, SeededRng(seed))
     bound = landauer_bound(rep)
     result = ExperimentResult(
         name="erasure",
@@ -190,11 +189,8 @@ def _checks_rows(cfg: RunConfig, seed, threads=1):
         return {"name": f"tur_walk_{i:03d}", "lhs": r["lhs"], "rhs": r["rhs"],
                 "satisfied": r["satisfied"], "slack": r["slack"], "seed": seed}
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            rows.extend(ex.map(walk_check, range(cc.tur_ensembles)))
-    else:
-        rows.extend(walk_check(i) for i in range(cc.tur_ensembles))
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        rows.extend(ex.map(walk_check, range(cc.tur_ensembles)))
 
     hop = 0.5 * (cc.tur_forward + cc.tur_backward)
     f_eq = hop * cc.near_eq_ratio / (1.0 + cc.near_eq_ratio) * 2.0
@@ -241,7 +237,7 @@ def _checks_rows(cfg: RunConfig, seed, threads=1):
 
     # isothermal power bound on a quick protocol pair plus synthetic saturation
     for name, sim in (("classical_bitflip", simulate_bitflip), ("classical_erasure", simulate_erasure)):
-        rep = sim(cfg.bitflip.params(), cc.classical_T, cc.classical_trials,
+        rep = sim(cfg.bitflip, cc.classical_T, cc.classical_trials,
                   SeededRng(seed).derive(9400 + (name == "classical_erasure")))
         fluxes, T_env = report_fluxes(rep)
         r = classical_bound_check(fluxes, T_env, stat_tol=3.0 * rep.work_std / cc.classical_T)

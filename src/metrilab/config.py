@@ -80,30 +80,13 @@ def parse_config_text(text):
 
 
 @dataclass
-class ProtocolRunConfig:
+class ProtocolRunConfig(DoubleWellParams):
     """Double-well protocol parameters plus run-level controls."""
 
-    a: float = 1.0
-    b: float = 2.0
-    c: float = 1.0
-    C_max: float = 2.0
-    gamma: float = 1.0
-    D: float = 0.25
-    alpha: float = 1.0
-    dt: float = 0.002
-    burn_in: float = 2.0
-    snapshots: int = 200
-    hist_bins: int = 128
     T_protocol: float = 20.0
     trials: int = 1000
     durations: tuple = ()
     per_trial_csv: bool = False
-
-    def params(self) -> DoubleWellParams:
-        return DoubleWellParams(a=self.a, b=self.b, c=self.c, C_max=self.C_max,
-                                gamma=self.gamma, D=self.D, alpha=self.alpha, dt=self.dt,
-                                burn_in=self.burn_in, snapshots=self.snapshots,
-                                hist_bins=self.hist_bins)
 
     def duration_sweep(self):
         return tuple(self.durations) if self.durations else (self.T_protocol,)
@@ -154,33 +137,6 @@ class ChecksConfig:
 
 
 @dataclass
-class SystemConfig:
-    """Named preset system with its shape parameters (see metriplectic.PRESETS)."""
-
-    preset: str = "isotropic-decay"
-    dim: int = 2
-    lam: float = 1.0
-    omega: float = 1.0
-    noise: float = 0.0
-    n_rev: int = 2
-    n_diss: int = 2
-
-    def build(self):
-        from .metriplectic import make_preset
-
-        kwargs = {
-            "harmonic": {"omega": self.omega},
-            "block-disjoint": {"n_rev": self.n_rev, "n_diss": self.n_diss,
-                               "omega": self.omega, "lam": self.lam},
-            "isotropic-decay": {"dim": self.dim, "lam": self.lam,
-                                "omega": self.omega, "noise": self.noise},
-        }
-        if self.preset not in kwargs:
-            raise InvalidConfigError(f"unknown system preset {self.preset!r}")
-        return make_preset(self.preset, **kwargs[self.preset])
-
-
-@dataclass
 class MonitorConfig:
     lam: float = 10.0
     steps: int = 1000
@@ -207,7 +163,6 @@ class RunConfig:
     gates: GatesConfig = field(default_factory=GatesConfig)
     checks: ChecksConfig = field(default_factory=ChecksConfig)
     monitor: MonitorConfig = field(default_factory=MonitorConfig)
-    system: SystemConfig = field(default_factory=SystemConfig)
 
     def resolved(self):
         """Every parameter in force, defaults included."""
@@ -240,7 +195,6 @@ _SECTIONS = {
     "gates": GatesConfig,
     "checks": ChecksConfig,
     "monitor": MonitorConfig,
-    "system": SystemConfig,
 }
 
 
@@ -267,7 +221,6 @@ def _coerce(section, key, value, ftype):
 
 
 def build_run_config(sections) -> RunConfig:
-    known = dict(_SECTIONS)
     overrides = {}
     seed = 0
     for sec, kv in sections.items():
@@ -277,19 +230,14 @@ def build_run_config(sections) -> RunConfig:
                     raise InvalidConfigError(f"unknown key run.{k}")
                 seed = _coerce("run", "seed", v, int)
             continue
-        if sec not in known:
+        if sec not in _SECTIONS:
             raise InvalidConfigError(f"unknown section [{sec}]")
-        cls = known[sec]
-        ftypes = {f.name: f.type for f in fields(cls)}
-        fdefs = {f.name: f for f in fields(cls)}
+        ftypes = {f.name: f.type for f in fields(_SECTIONS[sec])}
         kwargs = {}
         for k, v in kv.items():
             if k not in ftypes:
                 raise InvalidConfigError(f"unknown key {sec}.{k}")
-            ann = fdefs[k].type
-            ftype = {"float": float, "int": int, "bool": bool, "tuple": tuple, "str": str}.get(
-                ann if isinstance(ann, str) else getattr(ann, "__name__", ""), None)
-            kwargs[k] = _coerce(sec, k, v, ftype) if ftype else v
+            kwargs[k] = _coerce(sec, k, v, ftypes[k])
         overrides[sec] = kwargs
     cfg = RunConfig(seed=seed)
     for sec, kwargs in overrides.items():
@@ -297,9 +245,7 @@ def build_run_config(sections) -> RunConfig:
         current.update(kwargs)
         try:
             setattr(cfg, sec, _SECTIONS[sec](**current))
-        except InvalidConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
+        except (InvalidConfigError, TypeError, ValueError) as exc:
             raise InvalidConfigError(f"bad [{sec}] configuration: {exc}") from exc
     return cfg
 

@@ -102,6 +102,8 @@ def run_exp1(cfg: Exp1Config, seed: int, threads: int = 1) -> ExperimentResult:
         metadata={"seed": seed, "config": cfg.__dict__.copy()},
     )
     # rows assemble in grid order regardless of completion order
+    # one thread runs inline: a pool worker's malloc arena keeps the freed sweep
+    # buffers resident (a later exp4 in the same process peaked 16 MB higher)
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 

@@ -97,6 +97,8 @@ def run_exp3(cfg: Exp3Config, seed: int, threads: int = 1) -> ExperimentResult:
         columns=["rho", "deltaE", "C", "chi"],
         metadata={"seed": seed, "config": cfg.__dict__.copy(), "mse_base": mse_base},
     )
+    # one thread runs inline: a pool worker's malloc arena keeps the freed sweep
+    # buffers resident (a later exp4 in the same process peaked 16 MB higher)
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 

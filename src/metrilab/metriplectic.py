@@ -5,6 +5,18 @@ quadratic), R symmetric positive-semidefinite (relaxation through a
 dissipation potential). v1 keeps J and R constant matrices and the scalar
 potentials quadratic; the per-step entropy export and its information-rate
 counterpart are accounted in FluxRecord entries.
+
+A step of size dt with quadratic H (h_matrix A given) is split in the order
+of the rotor reservoir kernel (kernels.rotor_chunk): an Euler substep of the
+dissipative and input terms from the pre-step state, then the exact
+reversible propagator, then the noise increment,
+
+    x' = exp(J A dt) (x + dt (-lam R grad_xi(x) + B u)) + noise sqrt(dt) xi,
+
+then an optional renormalization to unit norm. exp1's reservoir is this law
+with J = block_rotation(omegas), R = I and B = bvec. Without h_matrix the
+whole drift is one Euler-Maruyama step. Noise is drawn from the caller's
+generator: `gen` in step(), `rng` in simulate().
 """
 
 from dataclasses import dataclass
@@ -15,8 +27,6 @@ import numpy as np
 from .errors import IntegrationDivergedError
 from .numerics import SeededRng, Trajectory
 
-DEGENERACY_TOL = 1e-8
-
 
 @dataclass
 class FluxRecord:
@@ -25,7 +35,6 @@ class FluxRecord:
     time: float
     entropy_production_rate: float
     irr_info_rate: float
-    work_rate: float = 0.0
 
     def __post_init__(self):
         if self.entropy_production_rate < 0:
@@ -152,31 +161,24 @@ def entropy_production_rate(sys: MetriplecticSystem, x) -> float:
     return max(val, 0.0)
 
 
-def step(sys: MetriplecticSystem, x, u, dt, rng: Optional[SeededRng] = None, renormalize=False, t=0.0,
+def step(sys: MetriplecticSystem, x, u, dt, renormalize=False, t=0.0,
          gen: Optional[np.random.Generator] = None):
-    """One stochastic step; returns (new state, FluxRecord at pre-step state).
-
-    When H is quadratic (h_matrix supplied) the reversible flow is applied as
-    its exact propagator and the dissipative/input/noise terms as an
-    Euler-Maruyama substep, so a purely reversible system preserves its
-    invariants to machine precision. Otherwise the whole drift is one
-    Euler-Maruyama step. Pass `gen` to reuse a generator across steps;
-    otherwise `rng` seeds a fresh one.
-    """
+    """One stochastic step (split as in the module docstring); returns
+    (new state, FluxRecord at pre-step state). A noisy system needs `gen`,
+    the generator its increments are drawn from."""
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if sys.noise > 0 and gen is None:
+        raise ValueError("a system with noise > 0 needs a generator: gen for step, rng for simulate")
     x = np.asarray(x, dtype=float)
     rate = entropy_production_rate(sys, x)
     flux = FluxRecord(time=t, entropy_production_rate=rate, irr_info_rate=rate / sys.alpha)
     prop = sys.reversible_propagator(dt)
     if prop is not None:
-        xr = prop @ x
-        xn = xr + dt * (-sys.lam * (sys.R @ sys.grad_xi(xr)) + sys.B * u)
+        xn = prop @ (x + dt * (-sys.lam * (sys.R @ sys.grad_xi(x)) + sys.B * u))
     else:
         xn = x + dt * sys.drift(x, u)
     if sys.noise > 0:
-        if gen is None:
-            gen = (rng or SeededRng(0)).generator()
         xn = xn + sys.noise * np.sqrt(dt) * gen.standard_normal(sys.dim)
     if not np.all(np.isfinite(xn)):
         raise IntegrationDivergedError(0)
@@ -186,44 +188,24 @@ def step(sys: MetriplecticSystem, x, u, dt, rng: Optional[SeededRng] = None, ren
 
 
 def simulate(sys: MetriplecticSystem, x0, inputs, dt, rng: Optional[SeededRng] = None, renormalize=False):
-    """Drive the system over len(inputs) steps; returns (Trajectory, flux list)."""
-    x = np.asarray(x0, dtype=float).copy()
+    """Drive the system over len(inputs) steps; returns (Trajectory, flux list).
+    A noisy system needs `rng`: one generator from it feeds every step."""
+    x = np.asarray(x0, dtype=float)
     gen = rng.generator() if rng is not None else None
     states = np.empty((len(inputs) + 1, sys.dim))
     states[0] = x
     fluxes = []
     for i, u in enumerate(inputs):
         x, fl = step(sys, x, u, dt, renormalize=renormalize, t=i * dt, gen=gen)
-        fl = FluxRecord(fl.time, fl.entropy_production_rate, fl.irr_info_rate, fl.work_rate)
         states[i + 1] = x
         fluxes.append(fl)
-    traj = Trajectory(dt * np.arange(len(inputs) + 1), states)
-    traj.fluxes = fluxes
-    return traj, fluxes
+    return Trajectory(dt * np.arange(len(inputs) + 1), states), fluxes
 
 
 # ---------------------------------------------------------------------------
 # presets
 # ---------------------------------------------------------------------------
 
-PRESETS = {}
-
-
-def _register(name):
-    def wrap(fn):
-        PRESETS[name] = fn
-        return fn
-    return wrap
-
-
-def make_preset(name, **kwargs) -> MetriplecticSystem:
-    """Instantiate a named preset system (see PRESETS for the catalogue)."""
-    if name not in PRESETS:
-        raise ValueError(f"unknown system preset {name!r}; have {sorted(PRESETS)}")
-    return PRESETS[name](**kwargs)
-
-
-@_register("harmonic")
 def harmonic_preset(omega=1.0):
     """Pure reversible planar rotation; zero dissipative sector."""
     J = np.array([[0.0, -omega], [omega, 0.0]])
@@ -236,7 +218,6 @@ def harmonic_preset(omega=1.0):
     )
 
 
-@_register("block-disjoint")
 def block_disjoint_preset(n_rev=2, n_diss=2, omega=1.0, lam=1.0):
     """Rotation on block A, relaxation on disjoint block B; degeneracy holds
     identically because each operator annihilates the other potential's
@@ -262,7 +243,6 @@ def block_disjoint_preset(n_rev=2, n_diss=2, omega=1.0, lam=1.0):
     )
 
 
-@_register("isotropic-decay")
 def isotropic_decay_preset(dim=2, lam=1.0, omega=0.0, noise=0.0):
     """Isotropic relaxation (R = I, radial dissipation potential), optional
     rotation on the leading pair. Entropy rate is lam * ||x||^2, so a
@@ -279,3 +259,17 @@ def isotropic_decay_preset(dim=2, lam=1.0, omega=0.0, noise=0.0):
         h_matrix=np.eye(dim),
         name="isotropic-decay",
     )
+
+
+PRESETS = {
+    "harmonic": harmonic_preset,
+    "block-disjoint": block_disjoint_preset,
+    "isotropic-decay": isotropic_decay_preset,
+}
+
+
+def make_preset(name, **kwargs) -> MetriplecticSystem:
+    """Instantiate a named preset system (see PRESETS for the catalogue)."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown system preset {name!r}; have {sorted(PRESETS)}")
+    return PRESETS[name](**kwargs)

@@ -6,7 +6,7 @@ numpy's PCG64 generator. Gaussian draws use numpy's ziggurat implementation
 stable across platforms.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    fluxes: list = field(default_factory=list)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)

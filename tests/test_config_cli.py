@@ -138,6 +138,26 @@ class TestCLI:
         assert "gates.noise" in err["detail"]
         assert not (out / "gates.csv").exists()
 
+    def test_protocol_sections_validated_at_parse(self, tmp_path, capsys):
+        # [erasure] is checked when the config is read, even by a subcommand
+        # that never runs a protocol
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("[erasure]\ngamma = 0\n")
+        out = tmp_path / "g"
+        assert run_cli("gates", "--config", str(cfg), "--out", str(out), "--quiet") == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config-error"
+        assert "[erasure]" in err["detail"]
+        assert not out.exists()
+
+    def test_system_section_rejected_by_name(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("[system]\npreset = harmonic\n")
+        assert run_cli("monitor", "--config", str(cfg), "--out", str(tmp_path / "m"), "--quiet") == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config-error"
+        assert "[system]" in err["detail"]
+
     def test_checks_corrupted_preset_fails_with_named_rows(self, tmp_path):
         out = tmp_path / "k"
         cfg = tmp_path / "c.cfg"

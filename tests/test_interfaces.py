@@ -1,5 +1,5 @@
 """External-surface contracts: loadable circuit text, truth-table CSV rows,
-per-trial CSV, preset systems from config, frozen column orders, field dumps,
+per-trial CSV, frozen column orders, field dumps,
 and order-deterministic threaded sweeps."""
 
 import os
@@ -9,11 +9,8 @@ import pytest
 
 from metrilab.cli import main as cli_main
 from metrilab.circuits import LogicalReadout, load_circuit, load_truth_table, verify_truth_table
-from metrilab.config import parse_config
 from metrilab.experiments import Exp1Config, Exp3Config, run_exp1, run_exp3
-from metrilab.metriplectic import check_degeneracy
 from metrilab.metrics import MetricRecord, consciousness_record, intelligence_record
-from metrilab.numerics import SeededRng
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -94,24 +91,6 @@ class TestPerTrialCSV:
         lines = (out / "bitflip.trials.csv").read_text().strip().splitlines()
         assert lines[0] == "trial,work,heat,final_state,final_label"
         assert len(lines) == 51
-
-
-class TestSystemConfig:
-    def test_preset_from_config_builds_and_audits(self, tmp_path):
-        p = tmp_path / "c.cfg"
-        p.write_text("[system]\npreset = block-disjoint\nn_rev = 4\nn_diss = 2\nlam = 0.5\n")
-        cfg = parse_config(str(p))
-        sys = cfg.system.build()
-        assert sys.dim == 6
-        assert check_degeneracy(sys, samples=32, tol=1e-10, rng=SeededRng(0)).passed
-
-    def test_unknown_preset_rejected(self, tmp_path):
-        p = tmp_path / "c.cfg"
-        p.write_text("[system]\npreset = warp-core\n")
-        cfg = parse_config(str(p))
-        from metrilab.errors import InvalidConfigError
-        with pytest.raises(InvalidConfigError):
-            cfg.system.build()
 
 
 class TestFieldDumps:

@@ -9,6 +9,7 @@ from metrilab.metriplectic import (
     entropy_production_rate,
     harmonic_preset,
     isotropic_decay_preset,
+    make_preset,
     quadratic_gradient,
     simulate,
     step,
@@ -106,3 +107,70 @@ class TestStep:
         traj, _ = simulate(sys, [1.0, 0.0], np.zeros(1000), dt=1e-3)
         norms = np.linalg.norm(traj.states, axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-6
+
+
+class TestNoise:
+    def test_noisy_system_without_generator_rejected(self):
+        sys = isotropic_decay_preset(dim=2, lam=0.0, noise=1.0)
+        with pytest.raises(ValueError):
+            simulate(sys, [0.0, 0.0], np.zeros(4), dt=1.0)
+        with pytest.raises(ValueError):
+            step(sys, np.zeros(2), 0.0, dt=1.0)
+
+    def test_increments_follow_one_stream(self):
+        # lam = 0, J = 0: each increment is the next draw of the rng's generator,
+        # never the same vector repeated
+        sys = isotropic_decay_preset(dim=2, lam=0.0, noise=1.0)
+        traj, _ = simulate(sys, [0.0, 0.0], np.zeros(4), dt=1.0, rng=SeededRng(0))
+        draws = SeededRng(0).generator().standard_normal((4, 2))
+        assert np.array_equal(traj.states[1:], np.cumsum(draws, axis=0))
+        assert len({tuple(d) for d in np.diff(traj.states, axis=0)}) == 4
+
+
+class TestRotorKernelIsTheLaw:
+    """exp1's reservoir (kernels.rotor_chunk) is simulate() on block_rotation J,
+    R = I, B = bvec with renormalization, run on exp1's own draws."""
+
+    @pytest.mark.parametrize("lam", [0.01, 1.0])
+    def test_simulate_matches_rotor_loops(self, lam):
+        from metrilab import kernels
+        from metrilab.experiments import Exp1Config
+        from metrilab.experiments.exp1 import make_input
+
+        cfg = Exp1Config(dim=40, rot_pairs=19, steps=400, k_lags=5)
+        base = SeededRng(5)
+        omegas = base.derive(0).generator().uniform(cfg.freq_low, cfg.freq_high, cfg.rot_pairs)
+        bvec = base.derive(1).generator().standard_normal(cfg.dim)
+        bvec /= np.linalg.norm(bvec)
+        u = make_input(cfg, base.derive(2))
+        noise = cfg.state_noise * np.sqrt(cfg.dt) * base.derive(3).generator().standard_normal(
+            (cfg.steps, cfg.dim))
+        x0 = base.derive(4).generator().standard_normal(cfg.dim)
+        x0 /= np.linalg.norm(x0)
+
+        states = np.empty((cfg.steps, cfg.dim))
+        kernels._rotor_chunk_loops(x0.copy(), np.cos(omegas * cfg.dt), np.sin(omegas * cfg.dt),
+                                   lam, bvec, u, noise, cfg.dt, states)
+
+        eye = np.eye(cfg.dim)
+        sys = MetriplecticSystem(dim=cfg.dim, J=block_rotation(omegas, cfg.dim), R=eye,
+                                 grad_h=quadratic_gradient(eye), grad_xi=quadratic_gradient(eye),
+                                 lam=lam, B=bvec, noise=cfg.state_noise, alpha=cfg.alpha,
+                                 h_matrix=eye)
+        traj, fluxes = simulate(sys, x0, u, cfg.dt, rng=base.derive(3), renormalize=True)
+        assert np.max(np.abs(traj.states[1:] - states)) < 1e-12
+        # exp1's I_irr_rate column is lam / alpha: every step exports exactly lam
+        rates = np.array([fl.entropy_production_rate for fl in fluxes])
+        assert np.max(np.abs(rates - lam)) <= 1e-15
+        assert all(fl.irr_info_rate == fl.entropy_production_rate / cfg.alpha for fl in fluxes)
+
+
+class TestPresets:
+    def test_make_preset_builds_and_audits(self):
+        sys = make_preset("block-disjoint", n_rev=4, n_diss=2, lam=0.5)
+        assert sys.dim == 6
+        assert check_degeneracy(sys, samples=32, tol=1e-10, rng=SeededRng(0)).passed
+
+    def test_unknown_preset_rejected(self):
+        with pytest.raises(ValueError, match="warp-core"):
+            make_preset("warp-core")
