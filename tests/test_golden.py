@@ -29,6 +29,9 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "cli")
     ("exp1", 3),
     ("exp3", 1),
     ("exp3", 3),
+    ("gates", 1),
+    ("monitor", 1),
+    ("exp2", 1),
 ])
 def test_cli_outputs_match_stored_bytes(tmp_path, name, threads):
     out = tmp_path / "out"
