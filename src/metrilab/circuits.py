@@ -6,7 +6,7 @@ attractor selection: a gate is read by letting the state relax with inputs
 clamped and mapping encoding-port states through disjoint logical intervals
 (low = [0, low_max], high = [high_min, 1]); the band in between is forbidden.
 
-Gate constants live in GATE_DEFAULTS. Thresholds sit mid-gap between the
+Gate constants live in GateParams. Thresholds sit mid-gap between the
 worst-case drive sums of adjacent truth-table rows so that any analog input
 level inside a logical interval yields the same output label.
 """
@@ -26,16 +26,21 @@ from .errors import (
 )
 from .numerics import SeededRng, rk4_step
 
-GATE_DEFAULTS = {
-    "gain": 8.0,     # logistic steepness
-    "w": 1.0,        # input weight
-    "theta_and": 1.4,
-    "theta_or": 0.6,
-    "b_not": 0.5,    # = 0.5 * w
-    "g_ff": 2.0,     # flip-flop self-excitation (> 1)
-    "h_ff": 2.0,     # flip-flop mutual inhibition
-    "pulse_amplitude": 2.0,
-}
+
+@dataclass(frozen=True)
+class GateParams:
+    """Shipped-gate constants; `[gates]` (config.GatesConfig) overrides them."""
+
+    gain: float = 8.0     # logistic steepness
+    w: float = 1.0        # input weight
+    theta_and: float = 1.4
+    theta_or: float = 0.6
+    b_not: float = 0.5    # = 0.5 * w
+    g_ff: float = 2.0     # flip-flop self-excitation (> 1)
+    h_ff: float = 2.0     # flip-flop mutual inhibition
+
+
+PULSE_AMPLITUDE = 2.0  # set/reset drive of run_flipflop's pulses
 
 NODE_KINDS = ("integrator", "activation", "oscillator")
 
@@ -103,7 +108,7 @@ class CircuitGraph:
             W[self._index[dst], self._index[src]] += w
         self._WT = W.T.copy()
         self._bias = np.array([self.nodes[m].params.get("bias", 0.0) for m in self.node_names])
-        self._gain = np.array([self.nodes[m].params.get("gain", GATE_DEFAULTS["gain"]) for m in self.node_names])
+        self._gain = np.array([self.nodes[m].params.get("gain", GateParams.gain) for m in self.node_names])
         self._neg_gain = -self._gain
         self._leak = np.array([self.nodes[m].params.get("leak", 1.0) for m in self.node_names])
         self._omega = np.array([self.nodes[m].params.get("omega", 0.0) for m in self.node_names])
@@ -194,22 +199,18 @@ SettledRows = namedtuple("SettledRows", "labels states steps")
 
 
 def settle_and_read(circuit: CircuitGraph, inputs, readout: LogicalReadout,
-                    x0=None, noise=0.0, rng=None, return_state=False):
+                    x0=None, noise=0.0, rng=None) -> SettledRows:
     """Integrate with inputs clamped until every encoding-port state has sat
-    inside a single logical interval for a full window, then return labels.
+    inside a single logical interval for a full window, then read the labels.
 
-    `inputs` is one inputs dict (returns its labels, plus the state when
-    `return_state` is set) or a list of them, settled as one batch into a
-    SettledRows; then `x0` holds one state and `rng` one SeededRng per row,
-    and every row reads exactly as if it had been settled alone.
+    `inputs` is a list of inputs dicts, settled as one batch; `x0` holds one
+    state and `rng` one SeededRng per row, and every row reads exactly as if
+    it had been settled alone.
 
     Raises NoSettleError if an encoding state is still in the forbidden band
     at t_max, and NonFixedPointError if labels are stable but the state keeps
     moving by more than `tol` across the window (limit cycle inside an
     interval); in a batch, for the lowest-index row that did not settle."""
-    single = isinstance(inputs, dict)
-    if single:
-        inputs, x0, rng = [inputs], None if x0 is None else [x0], None if rng is None else [rng]
     rows, n = len(inputs), circuit.dim
     dt = readout.dt
     steps = int(round(readout.t_max / dt))
@@ -257,9 +258,6 @@ def settle_and_read(circuit: CircuitGraph, inputs, readout: LogicalReadout,
                 f"labels held but the state kept moving past t_max={readout.t_max} "
                 "(non-fixed-point attractor inside a logical interval)")
         raise NoSettleError(f"no settle within t_max={readout.t_max}", final_state=buf[window, i].copy())
-    if single:
-        labels, state = settled.labels[0], settled.states[0]
-        return (labels, state) if return_state else labels
     return settled
 
 
@@ -282,8 +280,8 @@ def _feedforward_fixed_points(circuit: CircuitGraph, rows):
     return x
 
 
-def _validate_combinational(circuit, truth, readout=None):
-    readout = readout or LogicalReadout()
+def _validate_combinational(circuit, truth):
+    readout = LogicalReadout()
     states = _feedforward_fixed_points(circuit, [row for row, _ in truth])
     for (row_inputs, expected), x in zip(truth, states):
         for port, want in expected.items():
@@ -305,43 +303,48 @@ TRUTH_TABLES = {
 }
 
 
-def build_gate(kind, params=None) -> CircuitGraph:
+def logical_table(kind):
+    """Truth table rows for verify_truth_table, with canonical analog levels."""
+    table = TRUTH_TABLES[kind.upper()]
+    if kind.upper() == "NOT":
+        return [({"in": float(v)}, {"out": out}) for (v,), out in table]
+    return [({"in1": float(a), "in2": float(b)}, {"out": out}) for (a, b), out in table]
+
+
+def build_gate(kind, p: GateParams = GateParams()) -> CircuitGraph:
     """Construct one of the shipped gates; raises InvalidGateParamsError when
-    the requested parameters do not reproduce the gate's attractor structure
-    at the four (or two) logical input corners."""
-    p = dict(GATE_DEFAULTS)
-    if params:
-        p.update(params)
+    the parameters do not reproduce the gate's attractor structure at the
+    four (or two) logical input corners."""
     kind = kind.upper()
-    gain, w = p["gain"], p["w"]
+    gain, w = p.gain, p.w
 
     if kind == "NOT":
-        nodes = {"y": _activation_node(gain, p["b_not"])}
+        nodes = {"y": _activation_node(gain, p.b_not)}
         circ = CircuitGraph(nodes, [], {"in": [("y", -w)]}, {"out": "y"}, name="NOT")
     elif kind in ("AND", "OR"):
-        theta = p["theta_and"] if kind == "AND" else p["theta_or"]
+        theta = p.theta_and if kind == "AND" else p.theta_or
         nodes = {"y": _activation_node(gain, -theta)}
         circ = CircuitGraph(nodes, [], {"in1": [("y", w)], "in2": [("y", w)]},
                             {"out": "y"}, name=kind)
     elif kind in ("NAND", "NOR"):
-        theta = p["theta_and"] if kind == "NAND" else p["theta_or"]
-        nodes = {"g": _activation_node(gain, -theta), "y": _activation_node(gain, p["b_not"])}
+        theta = p.theta_and if kind == "NAND" else p.theta_or
+        nodes = {"g": _activation_node(gain, -theta), "y": _activation_node(gain, p.b_not)}
         circ = CircuitGraph(nodes, [("g", "y", -w)],
                             {"in1": [("g", w)], "in2": [("g", w)]}, {"out": "y"}, name=kind)
     elif kind == "XOR":
         # AND(NAND(v1, v2), OR(v1, v2))
         nodes = {
-            "a": _activation_node(gain, -p["theta_and"]),
-            "na": _activation_node(gain, p["b_not"]),
-            "o": _activation_node(gain, -p["theta_or"]),
-            "y": _activation_node(gain, -p["theta_and"]),
+            "a": _activation_node(gain, -p.theta_and),
+            "na": _activation_node(gain, p.b_not),
+            "o": _activation_node(gain, -p.theta_or),
+            "y": _activation_node(gain, -p.theta_and),
         }
         edges = [("a", "na", -w), ("na", "y", w), ("o", "y", w)]
         circ = CircuitGraph(nodes, edges,
                             {"in1": [("a", w), ("o", w)], "in2": [("a", w), ("o", w)]},
                             {"out": "y"}, name="XOR")
     elif kind == "FLIPFLOP":
-        g, h = p["g_ff"], p["h_ff"]
+        g, h = p.g_ff, p.h_ff
         if g <= 1.0:
             raise InvalidGateParamsError("flip-flop self-excitation g must exceed 1")
         nodes = {"A": _activation_node(gain, 0.0), "B": _activation_node(gain, 0.0)}
@@ -354,10 +357,7 @@ def build_gate(kind, params=None) -> CircuitGraph:
     else:
         raise ValueError(f"unknown gate kind {kind!r}")
 
-    table = TRUTH_TABLES[kind]
-    ports = sorted(circ.input_ports)
-    truth = [({port: val for port, val in zip(ports, row)}, {"out": out}) for row, out in table]
-    _validate_combinational(circ, truth)
+    _validate_combinational(circ, logical_table(kind))
     return circ
 
 
@@ -462,14 +462,6 @@ def verify_truth_table(circuit: CircuitGraph, table, readout: LogicalReadout,
     return TruthTableResult(passed=not bad, counterexamples=bad)
 
 
-def logical_table(kind):
-    """Truth table rows for verify_truth_table, with canonical analog levels."""
-    table = TRUTH_TABLES[kind.upper()]
-    if kind.upper() == "NOT":
-        return [({"in": float(v)}, {"out": out}) for (v,), out in table]
-    return [({"in1": float(a), "in2": float(b)}, {"out": out}) for (a, b), out in table]
-
-
 FLIPFLOP_BAND = 0.1  # |x_A - x_B| at or below this stores no bit
 
 
@@ -501,7 +493,7 @@ def run_flipflop(circuit: CircuitGraph, pulse_schedule, readout: LogicalReadout,
     """Apply timed set/reset pulses and track the stored bit.
 
     pulse_schedule: list of (port, t_on, t_off) with port in {set, reset};
-    amplitude is the gate default. Overlapping set and reset pulses raise
+    amplitude is PULSE_AMPLITUDE. Overlapping set and reset pulses raise
     AmbiguousStateError. Returns (list of (time, bit) read after each pulse
     and at the end of the final hold, ledger of bit transitions).
     """
@@ -510,7 +502,6 @@ def run_flipflop(circuit: CircuitGraph, pulse_schedule, readout: LogicalReadout,
         for b in pulses:
             if a is not b and a[0] != b[0] and max(a[1], b[1]) < min(a[2], b[2]):
                 raise AmbiguousStateError("set and reset pulses overlap (symmetric race)")
-    amp = GATE_DEFAULTS["pulse_amplitude"]
     dt = readout.dt
     x = np.zeros(circuit.dim) if x0 is None else np.asarray(x0, dtype=float).copy()
     gen = rng.generator() if (rng is not None and noise > 0.0) else None
@@ -525,7 +516,7 @@ def run_flipflop(circuit: CircuitGraph, pulse_schedule, readout: LogicalReadout,
         if t_on < t_cursor:
             raise ValueError("pulses must be separated by at least the settle gap")
         events.append((t_cursor, t_on, {}))
-        events.append((t_on, t_off, {port: amp}))
+        events.append((t_on, t_off, {port: PULSE_AMPLITUDE}))
         t_cursor = t_off
     tail = hold_after if hold_after is not None else readout.t_max
     events.append((t_cursor, t_cursor + tail, {}))

@@ -22,7 +22,8 @@ import numpy as np
 from . import __version__, kernels
 from .cce import landauer_bound, simulate_bitflip, simulate_erasure
 from .circuits import (
-    GATE_DEFAULTS,
+    PULSE_AMPLITUDE,
+    GateParams,
     LogicalReadout,
     build_gate,
     logical_table,
@@ -56,8 +57,6 @@ def _run_experiment(which):
     def handler(cfg: RunConfig, seed, out, threads, quiet):
         sub = getattr(cfg, which)
         if which == "exp4":
-            os.makedirs(out, exist_ok=True)
-
             def sink(t, field):
                 np.save(os.path.join(out, f"field_t{t:04d}.npy"), field)
 
@@ -76,18 +75,17 @@ def _run_experiment(which):
 
 def _gate_rows(gcfg, seed):
     readout = LogicalReadout()
-    params = gcfg.gate_params()
     rows = []
     rng = SeededRng(seed)
     for i, kind in enumerate(("NOT", "AND", "OR", "NAND", "NOR", "XOR")):
-        circuit = build_gate(kind, params)
+        circuit = build_gate(kind, gcfg)
         table = logical_table(kind)
         for noise in (0.0, gcfg.noise):
             res = verify_truth_table(circuit, table, readout, noise=noise,
                                      rng=rng.derive(i) if noise else None)
             rows.append({"gate": kind, "noise": noise, "passed": res.passed,
                          "counterexamples": len(res.counterexamples)})
-    ff = build_gate("FLIPFLOP", params)
+    ff = build_gate("FLIPFLOP", gcfg)
     for noise in (0.0, gcfg.noise):
         ok = True
         try:
@@ -109,7 +107,8 @@ def _handle_gates(cfg: RunConfig, seed, out, threads, quiet):
     result = ExperimentResult(name="gates",
                               columns=["gate", "noise", "passed", "counterexamples"],
                               metadata={"seed": seed, "config": cfg.gates.__dict__.copy(),
-                                        "defaults": dict(GATE_DEFAULTS)})
+                                        "defaults": {**GateParams().__dict__,
+                                                     "pulse_amplitude": PULSE_AMPLITUDE}})
     for r in rows:
         result.add_row(**r)
     write_result(result, out)
@@ -288,7 +287,6 @@ def _handle_monitor(cfg: RunConfig, seed, out, threads, quiet):
                "first_violation_time": report.first_violation_time,
                "counts": report.counts, "total": report.total,
                "limits": cfg.monitor.__dict__.copy()}
-    os.makedirs(out, exist_ok=True)
     write_json(os.path.join(out, "monitor.json"), payload)
     if not quiet:
         print(f"monitor: {report.total} violations over {report.n_samples} samples")
@@ -331,7 +329,11 @@ def main(argv=None):
 
     seed = args.seed if args.seed is not None else cfg.seed
     out = args.out or os.path.join("runs", args.subcommand)
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:  # --out names a file, or a path that cannot be made
+        print(json.dumps({"error": "bad-output-dir", "detail": str(exc)}), file=sys.stderr)
+        return EXIT_CONFIG
     try:
         code = HANDLERS[args.subcommand](cfg, seed, out, max(1, args.threads), args.quiet)
     except InvalidConfigError as exc:

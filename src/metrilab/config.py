@@ -20,8 +20,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .cce import DoubleWellParams
+from .circuits import GateParams
 from .errors import InvalidConfigError
 from .experiments import Exp1Config, Exp2Config, Exp3Config, Exp4Config
+from .metrics import TUR_MIN_SAMPLES
 
 _RANGE_RE = re.compile(r"^\[\s*([^\s]+)\s*\.\.\s*([^\s]+)\s*:\s*(\d+)\s*\]$")
 
@@ -88,28 +90,24 @@ class ProtocolRunConfig(DoubleWellParams):
     durations: tuple = ()
     per_trial_csv: bool = False
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.trials < 2:
+            raise InvalidConfigError(f"trials must be >= 2 for a spread, got {self.trials}")
+
     def duration_sweep(self):
         return tuple(self.durations) if self.durations else (self.T_protocol,)
 
 
-@dataclass
-class GatesConfig:
+@dataclass(frozen=True)
+class GatesConfig(GateParams):
+    """Gate constants plus the state-noise level of the noisy rows."""
+
     noise: float = 1e-3
-    gain: float = 8.0
-    w: float = 1.0
-    theta_and: float = 1.4
-    theta_or: float = 0.6
-    b_not: float = 0.5
-    g_ff: float = 2.0
-    h_ff: float = 2.0
 
     def __post_init__(self):
         if not (np.isfinite(self.noise) and self.noise >= 0.0):
             raise InvalidConfigError(f"gates.noise must be finite and >= 0, got {self.noise!r}")
-
-    def gate_params(self):
-        return {k: getattr(self, k) for k in
-                ("gain", "w", "theta_and", "theta_or", "b_not", "g_ff", "h_ff")}
 
 
 @dataclass
@@ -134,6 +132,10 @@ class ChecksConfig:
             raise InvalidConfigError("channel_preset must be 'gaussian' or 'corrupted'")
         if self.tur_forward <= 0 or self.tur_backward <= 0 or self.tur_forward + self.tur_backward >= 1:
             raise InvalidConfigError("hop probabilities must be positive with sum < 1")
+        if self.tur_walkers < TUR_MIN_SAMPLES:
+            raise InvalidConfigError(f"tur_walkers must be >= {TUR_MIN_SAMPLES}, got {self.tur_walkers}")
+        if self.classical_trials < 2:
+            raise InvalidConfigError(f"classical_trials must be >= 2, got {self.classical_trials}")
 
 
 @dataclass

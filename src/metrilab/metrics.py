@@ -30,6 +30,11 @@ from .errors import (
 )
 from .numerics import SeededRng
 
+TUR_BOOTSTRAP = 200    # resamples behind tur_check's standard error
+TUR_MIN_SAMPLES = 100  # fewest currents tur_check accepts
+TRACE_GL_NODES = 16    # Gauss-Legendre nodes on each trace-bound path
+TRACE_EPS = 1e-6       # numerical floor of the trace-bound slack
+
 
 @dataclass
 class MetricRecord:
@@ -94,25 +99,25 @@ def emergence_index(chi_coupled, chi_separable):
 # current-fluctuation (precision-dissipation) check
 # ---------------------------------------------------------------------------
 
-def tur_check(current_samples, sigma_T, alpha=1.0, bootstrap=200):
-    """Check Var(J_T)/E[J_T]^2 >= 2*alpha/Sigma_T on an ensemble of currents.
+def tur_check(current_samples, sigma_T):
+    """Check Var(J_T)/E[J_T]^2 >= 2/Sigma_T (Sigma_T in nats) on currents.
 
     `satisfied` allows the lhs a downward slack of 3 bootstrap standard errors
     (eps_stat = 3*SE/rhs). A near-zero mean marks the ratio infinite and the
     bound vacuously satisfied.
     """
     j = np.asarray(current_samples, dtype=float)
-    if j.size < 100:
-        raise ValueError("need at least 100 current samples")
+    if j.size < TUR_MIN_SAMPLES:
+        raise ValueError(f"need at least {TUR_MIN_SAMPLES} current samples")
     mean = j.mean()
     var = j.var(ddof=1)
-    rhs = np.inf if sigma_T <= 0 else 2.0 * alpha / sigma_T
+    rhs = np.inf if sigma_T <= 0 else 2.0 / sigma_T
     if abs(mean) < 1e-12 * max(j.std(), 1e-300):
         return {"lhs": np.inf, "rhs": rhs, "satisfied": True, "slack": np.inf,
                 "eps_stat": 0.0, "mean_zero": True}
     lhs = var / mean**2
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(0xB007)))
-    idx = gen.integers(0, j.size, size=(bootstrap, j.size))
+    idx = gen.integers(0, j.size, size=(TUR_BOOTSTRAP, j.size))
     boots = j[idx]
     bl = boots.var(axis=1, ddof=1) / boots.mean(axis=1) ** 2
     se = float(bl.std(ddof=1))
@@ -197,8 +202,7 @@ def mutual_information_quadrature(channel, z_atoms, weights, y_points=4001, pad=
     return float(w @ kl), kl
 
 
-def trace_bound_check(channel, prior_samples, mc_samples=0, rng: Optional[SeededRng] = None,
-                      gl_nodes=16, eps_floor=1e-6):
+def trace_bound_check(channel, prior_samples):
     """Check I(Z;Y) <= 0.5 * tr(G) for a scalar channel and a sample-set prior.
 
     G couples input spread with the path-averaged Fisher information along
@@ -207,21 +211,17 @@ def trace_bound_check(channel, prior_samples, mc_samples=0, rng: Optional[Seeded
     0.5 * Var(Z) * mean path Fisher, which linear-Gaussian channels saturate
     in the low-SNR limit.
     """
-    if prior_samples is None:
-        if rng is None or mc_samples < 2:
-            raise ValueError("need prior samples or (mc_samples, rng)")
-        prior_samples = rng.generator().standard_normal(mc_samples)
     z = np.asarray(prior_samples, dtype=float)
     if np.unique(z).size < 2:
         return {"c_t": 0.0, "half_trace_G": 0.0, "satisfied": True,
-                "tightness": 1.0, "eps_num": eps_floor}
+                "tightness": 1.0, "eps_num": TRACE_EPS}
     n = z.size
     w = np.full(n, 1.0 / n)
 
     mi, per_atom = mutual_information_quadrature(channel, z, w)
     se = float(per_atom.std(ddof=1) / np.sqrt(n))
 
-    nodes, wts = np.polynomial.legendre.leggauss(gl_nodes)
+    nodes, wts = np.polynomial.legendre.leggauss(TRACE_GL_NODES)
     s = 0.5 * (nodes + 1.0)
     ws = 0.5 * wts
     dz = z[:, None] - z[None, :]
@@ -236,7 +236,7 @@ def trace_bound_check(channel, prior_samples, mc_samples=0, rng: Optional[Seeded
 
     var_z = 0.5 * float(np.mean(dz * dz))
     ref = 0.5 * var_z * float(fbar.mean())
-    eps = eps_floor + 3.0 * se
+    eps = TRACE_EPS + 3.0 * se
     return {
         "c_t": mi,
         "half_trace_G": half_trace,
@@ -250,11 +250,11 @@ def trace_bound_check(channel, prior_samples, mc_samples=0, rng: Optional[Seeded
 # isothermal power bound
 # ---------------------------------------------------------------------------
 
-def classical_bound_check(fluxes, T_env, i_irr_total=None, kB=1.0, stat_tol=0.0):
-    """Time-averaged check of W_dot <= kB*T_env*Iirr_dot - F_sys_dot - T_env*Sprod_dot.
+def classical_bound_check(fluxes, T_env, stat_tol=0.0):
+    """Time-averaged check of W_dot <= T_env*Iirr_dot - F_sys_dot - T_env*Sprod_dot.
 
     `fluxes` carries per-time series: times, w_dot (power delivered by the
-    system), i_irr_dot (nats/time), f_sys_dot, s_prod_dot. Averages use the
+    system), i_irr_dot (nats/time, kB = 1), f_sys_dot, s_prod_dot. Averages use the
     trapezoid rule over `times`.
     """
     needed = ("times", "w_dot", "i_irr_dot", "f_sys_dot", "s_prod_dot")
@@ -270,14 +270,13 @@ def classical_bound_check(fluxes, T_env, i_irr_total=None, kB=1.0, stat_tol=0.0)
         return float(np.trapezoid(np.asarray(fluxes[key], dtype=float), t) / span)
 
     lhs = avg("w_dot")
-    iirr = (i_irr_total / span) if i_irr_total is not None else avg("i_irr_dot")
-    rhs = kB * T_env * iirr - avg("f_sys_dot") - T_env * avg("s_prod_dot")
+    rhs = T_env * avg("i_irr_dot") - avg("f_sys_dot") - T_env * avg("s_prod_dot")
     return {"lhs_power": lhs, "rhs_power": rhs,
             "satisfied": bool(lhs <= rhs + stat_tol), "slack": rhs - lhs}
 
 
-def report_fluxes(report, kB=1.0):
-    """Derive the power-bound flux series from a double-well protocol report.
+def report_fluxes(report):
+    """Derive the power-bound flux series and T_env = kT from a protocol report.
 
     Channels: delivered power -dW_on/dt; logical irreversibility rate from
     clipped label-entropy loss; free-energy rate d(U - T S_sys)/dt; total
@@ -290,7 +289,7 @@ def report_fluxes(report, kB=1.0):
     t = np.asarray(s["times"], dtype=float)
     if len(t) < 3:
         raise InsufficientDataError("need at least 3 snapshots")
-    T_env = report.kT / kB
+    T_env = report.kT
     dt = np.diff(t)
     w_on = np.diff(s["work_cum"]) / dt
     du = np.diff(s["u_mean"]) / dt
@@ -378,15 +377,14 @@ def safety_monitor(flux_series, limits: SafetyLimits, window=100) -> ViolationRe
     return ViolationReport(first_violation_time=first, counts=counts, n_samples=len(t))
 
 
-def recovery_probe(circuit: CircuitGraph, x_base, delta, T, trials, rng: SeededRng,
-                   readout: Optional[LogicalReadout] = None):
+def recovery_probe(circuit: CircuitGraph, x_base, delta, T, trials, rng: SeededRng):
     """Kick a settled bistable circuit with random perturbations of norm <= delta
     and measure the fraction returning to the original label (R_T) plus the
     mean ledger entropy spent on label transitions during recovery (C_T).
 
     All kicks are drawn first (direction, then radius, per trial); the trials
-    then recover as one batch."""
-    readout = readout or LogicalReadout()
+    then recover as one batch, read by the default LogicalReadout."""
+    readout = LogicalReadout()
     x_base = np.asarray(x_base, dtype=float)
     base_bit = read_stored_bit(circuit, x_base, readout)
     space = flipflop_space()

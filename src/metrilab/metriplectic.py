@@ -189,16 +189,24 @@ def step(sys: MetriplecticSystem, x, u, dt, renormalize=False, t=0.0,
 
 def simulate(sys: MetriplecticSystem, x0, inputs, dt, rng: Optional[SeededRng] = None, renormalize=False):
     """Drive the system over len(inputs) steps; returns (Trajectory, flux list).
-    A noisy system needs `rng`: one generator from it feeds every step."""
+    A noisy system needs `rng`: one generator from it feeds every step.
+
+    A non-finite state raises IntegrationDivergedError carrying the index of
+    the step that produced it; the overflow warnings on the way there are
+    silenced because that error reports the divergence."""
     x = np.asarray(x0, dtype=float)
     gen = rng.generator() if rng is not None else None
     states = np.empty((len(inputs) + 1, sys.dim))
     states[0] = x
     fluxes = []
-    for i, u in enumerate(inputs):
-        x, fl = step(sys, x, u, dt, renormalize=renormalize, t=i * dt, gen=gen)
-        states[i + 1] = x
-        fluxes.append(fl)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, u in enumerate(inputs):
+            try:
+                x, fl = step(sys, x, u, dt, renormalize=renormalize, t=i * dt, gen=gen)
+            except IntegrationDivergedError:
+                raise IntegrationDivergedError(i) from None
+            states[i + 1] = x
+            fluxes.append(fl)
     return Trajectory(dt * np.arange(len(inputs) + 1), states), fluxes
 
 

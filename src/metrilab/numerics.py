@@ -13,6 +13,7 @@ import numpy as np
 from .errors import IntegrationDivergedError, NoConvergenceError, SingularMatrixError
 
 POWER_ITERATION_CAP = 10_000
+_EM_BLOCK = 4096  # Euler-Maruyama steps per noise draw and finiteness check
 
 
 @dataclass(frozen=True)
@@ -50,14 +51,6 @@ class Trajectory:
                 raise ValueError("times must be strictly increasing")
             if not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-12):
                 raise ValueError("time grid must have constant step")
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
-
-    @property
-    def dim(self) -> int:
-        return self.states.shape[1]
 
 
 def _check_finite(x, step):
@@ -110,10 +103,17 @@ def integrate_em(drift, diffusion, x0, dt, steps, rng: SeededRng) -> Trajectory:
     sq = np.sqrt(dt)
     out = np.empty((steps + 1, x.size))
     out[0] = x
-    for i in range(steps):
-        x = x + dt * np.asarray(drift(x)) + diff * sq * gen.standard_normal(x.size)
-        _check_finite(x, i)
-        out[i + 1] = x
+    # a (block, n) draw equals block successive n-draws; finiteness is checked
+    # per block, with the overflow warnings silenced as the error reports it
+    for s in range(0, steps, _EM_BLOCK):
+        kicks = diff * sq * gen.standard_normal((min(_EM_BLOCK, steps - s), x.size))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, kick in enumerate(kicks, s + 1):
+                x = x + dt * np.asarray(drift(x)) + kick
+                out[k] = x
+        bad = ~np.isfinite(out[s + 1 : s + 1 + len(kicks)]).all(axis=1)
+        if bad.any():
+            raise IntegrationDivergedError(s + int(np.argmax(bad)))
     return Trajectory(dt * np.arange(steps + 1), out)
 
 

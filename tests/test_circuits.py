@@ -5,8 +5,8 @@ import pytest
 
 from metrilab.cce import BOUNDARY, preserved_information
 from metrilab.circuits import (
-    GATE_DEFAULTS,
     CircuitGraph,
+    GateParams,
     LogicalReadout,
     NodeSpec,
     build_gate,
@@ -55,20 +55,20 @@ class TestBuildAndTables:
 
     def test_not_with_raw_sigmoid_parameterization(self):
         # steep weights with unit gain: the same inversion
-        g = build_gate("NOT", {"w": 8.0, "b_not": 4.0, "gain": 1.0})
-        assert settle_and_read(g, {"in": 1.0}, READOUT)["out"] == 0
-        assert settle_and_read(g, {"in": 0.0}, READOUT)["out"] == 1
+        g = build_gate("NOT", GateParams(w=8.0, b_not=4.0, gain=1.0))
+        assert settle_and_read(g, [{"in": 1.0}], READOUT).labels[0]["out"] == 0
+        assert settle_and_read(g, [{"in": 0.0}], READOUT).labels[0]["out"] == 1
 
     def test_and_only_both_high(self):
         g = build_gate("AND")
         for a, b in ((0, 0), (0, 1), (1, 0)):
-            assert settle_and_read(g, {"in1": a, "in2": b}, READOUT)["out"] == 0
-        assert settle_and_read(g, {"in1": 1, "in2": 1}, READOUT)["out"] == 1
+            assert settle_and_read(g, [{"in1": a, "in2": b}], READOUT).labels[0]["out"] == 0
+        assert settle_and_read(g, [{"in1": 1, "in2": 1}], READOUT).labels[0]["out"] == 1
 
     def test_or_whenever_either_high(self):
         g = build_gate("OR")
-        assert settle_and_read(g, {"in1": 0, "in2": 0}, READOUT)["out"] == 0
-        assert settle_and_read(g, {"in1": 1, "in2": 0}, READOUT)["out"] == 1
+        assert settle_and_read(g, [{"in1": 0, "in2": 0}], READOUT).labels[0]["out"] == 0
+        assert settle_and_read(g, [{"in1": 1, "in2": 0}], READOUT).labels[0]["out"] == 1
 
     def test_xor_composite_identity(self):
         res = verify_truth_table(build_gate("XOR"), logical_table("XOR"), READOUT)
@@ -89,33 +89,35 @@ class TestBuildAndTables:
         g = build_gate("AND")
         for a in (0.0, 0.15, 0.2):
             for b in (0.8, 0.93, 1.0):
-                assert settle_and_read(g, {"in1": a, "in2": b}, READOUT)["out"] == 0
+                assert settle_and_read(g, [{"in1": a, "in2": b}], READOUT).labels[0]["out"] == 0
         for a in (0.8, 1.0):
             for b in (0.85, 1.0):
-                assert settle_and_read(g, {"in1": a, "in2": b}, READOUT)["out"] == 1
+                assert settle_and_read(g, [{"in1": a, "in2": b}], READOUT).labels[0]["out"] == 1
 
     def test_degenerate_threshold_rejected(self):
         with pytest.raises(InvalidGateParamsError):
-            build_gate("AND", {"theta_and": 1.0})
+            build_gate("AND", GateParams(theta_and=1.0))
 
     def test_flipflop_low_gain_rejected(self):
         with pytest.raises(InvalidGateParamsError):
-            build_gate("FLIPFLOP", {"g_ff": 0.5})
+            build_gate("FLIPFLOP", GateParams(g_ff=0.5))
 
 
 class TestSettle:
     def test_fixed_point_matches_bisection_oracle(self):
-        p = GATE_DEFAULTS
+        p = GateParams()
         g = build_gate("AND")
-        labels, state = settle_and_read(g, {"in1": 1.0, "in2": 0.0}, READOUT, return_state=True)
+        settled = settle_and_read(g, [{"in1": 1.0, "in2": 0.0}], READOUT)
+        labels, state = settled.labels[0], settled.states[0]
         assert labels["out"] == 0
-        oracle = bisect_fixed_point(p["w"] * 1.0 + p["w"] * 0.0 - p["theta_and"], p["gain"])
+        oracle = bisect_fixed_point(p.w * 1.0 + p.w * 0.0 - p.theta_and, p.gain)
         assert abs(state[0] - oracle) < 1e-3
 
     def test_idempotent_on_settled_state(self):
         g = build_gate("OR")
-        labels, state = settle_and_read(g, {"in1": 1.0, "in2": 0.0}, READOUT, return_state=True)
-        again = settle_and_read(g, {"in1": 1.0, "in2": 0.0}, READOUT, x0=state)
+        settled = settle_and_read(g, [{"in1": 1.0, "in2": 0.0}], READOUT)
+        labels, state = settled.labels[0], settled.states[0]
+        again = settle_and_read(g, [{"in1": 1.0, "in2": 0.0}], READOUT, x0=[state]).labels[0]
         assert again == labels
 
     def test_no_settle_error_reports_state(self):
@@ -123,7 +125,7 @@ class TestSettle:
         circ = CircuitGraph({"o": NodeSpec("oscillator", {"omega": 2.0})}, [],
                             {"in": [("o", 1.0)]}, {"out": "o"})
         with pytest.raises(NoSettleError) as err:
-            settle_and_read(circ, {"in": 0.0}, LogicalReadout(t_max=5.0))
+            settle_and_read(circ, [{"in": 0.0}], LogicalReadout(t_max=5.0))
         assert err.value.final_state is not None
 
     def test_settling_time_below_half_tmax(self):
@@ -188,7 +190,7 @@ def reference_field(circuit, inputs):
     params = [circuit.nodes[m].params for m in circuit.node_names]
     kinds = np.array([circuit.nodes[m].kind for m in circuit.node_names])
     bias = np.array([p.get("bias", 0.0) for p in params])
-    gain = np.array([p.get("gain", GATE_DEFAULTS["gain"]) for p in params])
+    gain = np.array([p.get("gain", GateParams.gain) for p in params])
     leak = np.array([p.get("leak", 1.0) for p in params])
     omega = np.array([p.get("omega", 0.0) for p in params])
     a, i, o = kinds == "activation", kinds == "integrator", kinds == "oscillator"
@@ -313,8 +315,9 @@ class TestBatchedAgainstPerRowOracle:
 
     def test_single_row_call_is_row_zero_of_a_batch(self):
         g = build_gate("XOR")
-        labels, state = settle_and_read(g, {"in1": 1.0, "in2": 0.0}, READOUT, noise=1e-3,
-                                        rng=SeededRng(2), return_state=True)
+        alone = settle_and_read(g, [{"in1": 1.0, "in2": 0.0}], READOUT, noise=1e-3,
+                                rng=[SeededRng(2)])
+        labels, state = alone.labels[0], alone.states[0]
         batch = settle_and_read(g, [{"in1": 1.0, "in2": 0.0}, {"in1": 0.0, "in2": 0.0}], READOUT,
                                 noise=1e-3, rng=[SeededRng(2), SeededRng(3)])
         assert labels == batch.labels[0]

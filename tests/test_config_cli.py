@@ -188,6 +188,28 @@ class TestCLI:
         assert err["error"] == "numerical-failure"
         assert err["kind"] == "IntegrationDivergedError"
 
+    @pytest.mark.parametrize("subcommand,config,out_is_file,code,error", [
+        ("checks", "[checks]\ntur_walkers = 1\n", False, 2, "config-error"),
+        ("checks", "[checks]\nclassical_trials = 1\n", False, 2, "config-error"),
+        ("erasure", "[erasure]\ntrials = 1\n", False, 2, "config-error"),
+        ("bitflip", "[bitflip]\ntrials = 1\n", False, 2, "config-error"),
+        ("gates", "[gates]\npulse_amplitude = 3.0\n", False, 2, "config-error"),
+        ("monitor", "", True, 2, "bad-output-dir"),
+    ], ids=["tur_walkers", "classical_trials", "erasure_trials", "bitflip_trials",
+            "pulse_amplitude", "out_is_file"])
+    def test_exit_code_table(self, tmp_path, capsys, subcommand, config, out_is_file, code, error):
+        # each failure ends in its documented code with one JSON line on
+        # stderr; an exception escaping main fails the test
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        if out_is_file:
+            out.write_text("not a directory\n")
+        assert run_cli(subcommand, "--config", str(cfg), "--out", str(out), "--quiet") == code
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == error
+
     def test_erasure_subcommand(self, tmp_path):
         out = tmp_path / "e"
         cfg = tmp_path / "c.cfg"

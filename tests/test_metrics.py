@@ -258,9 +258,8 @@ class TestSafetyMonitor:
 def settled_flipflop():
     ff = build_gate("FLIPFLOP")
     readout = LogicalReadout()
-    _, x_pulse = settle_and_read(ff, {"set": 2.0, "reset": 0.0}, readout, return_state=True)
-    _, x_hold = settle_and_read(ff, {"set": 0.0, "reset": 0.0}, readout,
-                                x0=x_pulse, return_state=True)
+    x_pulse = settle_and_read(ff, [{"set": 2.0, "reset": 0.0}], readout).states
+    x_hold = settle_and_read(ff, [{"set": 0.0, "reset": 0.0}], readout, x0=x_pulse).states[0]
     return ff, x_hold
 
 

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from metrilab.errors import IntegrationDivergedError
 from metrilab.metriplectic import (
     MetriplecticSystem,
     block_disjoint_preset,
@@ -107,6 +110,18 @@ class TestStep:
         traj, _ = simulate(sys, [1.0, 0.0], np.zeros(1000), dt=1e-3)
         norms = np.linalg.norm(traj.states, axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-6
+
+
+class TestDivergence:
+    def test_reports_the_diverging_step(self):
+        # each step multiplies the state by 1 - lam * dt = -299: the first
+        # non-finite state is step 124 (299**124 < 1.8e308 < 299**125)
+        sys = isotropic_decay_preset(dim=2, lam=300.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationDivergedError) as err:
+                simulate(sys, [1.0, 0.0], np.zeros(400), dt=1.0)
+        assert err.value.step == 124
 
 
 class TestNoise:

@@ -4,6 +4,7 @@ import scipy.linalg
 
 from metrilab.errors import IntegrationDivergedError, NoConvergenceError, SingularMatrixError
 from metrilab.numerics import (
+    _EM_BLOCK,
     SeededRng,
     integrate_em,
     integrate_rk4,
@@ -62,6 +63,22 @@ class TestEulerMaruyama:
                             dt=0.01, steps=1_000_000, rng=SeededRng(42))
         samples = traj.states[5000:, 0]
         assert abs(samples.var() - D / theta) / (D / theta) < 0.05
+
+    def test_divergence_reports_first_nonfinite_step(self):
+        # growth by 1.15 per step overflows past the first noise block; the
+        # error names the step a per-step check would have stopped at
+        drift = lambda x: 0.15 * x
+        x, first = np.array([1.0, 0.5]), None
+        with np.errstate(over="ignore"):
+            for i in range(6000):
+                x = x + 1.0 * drift(x)
+                if not np.all(np.isfinite(x)):
+                    first = i
+                    break
+            with pytest.raises(IntegrationDivergedError) as err:
+                integrate_em(drift, 0.0, [1.0, 0.5], dt=1.0, steps=6000, rng=SeededRng(1))
+        assert first is not None and first > _EM_BLOCK
+        assert err.value.step == first
 
     def test_fixed_seed_bit_reproducible(self):
         a = integrate_em(lambda x: -x, 0.3, [1.0], dt=0.05, steps=200, rng=SeededRng(9, 4))
