@@ -189,6 +189,8 @@ class DoubleWellParams:
     def __post_init__(self):
         if min(self.a, self.b, self.c, self.gamma) <= 0 or self.D < 0:
             raise InvalidConfigError("a, b, c, gamma must be > 0 and D >= 0")
+        if not self.dt > 0 or self.snapshots < 1 or self.hist_bins < 1:
+            raise InvalidConfigError("dt must be > 0 and snapshots, hist_bins >= 1")
 
     @property
     def kT(self):

@@ -14,12 +14,11 @@ import os
 import platform
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, kernels
+from . import __version__
 from .cce import landauer_bound, simulate_bitflip, simulate_erasure
 from .circuits import (
     PULSE_AMPLITUDE,
@@ -33,9 +32,8 @@ from .circuits import (
 from .config import RunConfig, parse_config
 from .errors import InvalidConfigError, MetrilabError
 from .experiments import run_exp1, run_exp2, run_exp3, run_exp4
-from .experiments.base import ExperimentResult, write_json, write_result
+from .experiments.base import ExperimentResult, sweep, write_json, write_result
 from .metrics import (
-    SafetyLimits,
     biased_walk_currents,
     classical_bound_check,
     linear_gaussian_channel,
@@ -178,7 +176,6 @@ def _handle_erasure(cfg: RunConfig, seed, out, threads, quiet):
 
 def _checks_rows(cfg: RunConfig, seed, threads=1):
     cc = cfg.checks
-    rows = []
 
     def walk_check(i):
         rng = SeededRng(seed).derive(i)
@@ -188,8 +185,7 @@ def _checks_rows(cfg: RunConfig, seed, threads=1):
         return {"name": f"tur_walk_{i:03d}", "lhs": r["lhs"], "rhs": r["rhs"],
                 "satisfied": r["satisfied"], "slack": r["slack"], "seed": seed}
 
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        rows.extend(ex.map(walk_check, range(cc.tur_ensembles)))
+    rows = sweep(walk_check, range(cc.tur_ensembles), threads)
 
     hop = 0.5 * (cc.tur_forward + cc.tur_backward)
     f_eq = hop * cc.near_eq_ratio / (1.0 + cc.near_eq_ratio) * 2.0
@@ -280,9 +276,7 @@ def _handle_monitor(cfg: RunConfig, seed, out, threads, quiet):
         "s_prod_dot": np.full(mc.steps, mc.lam),
         "f_sys_dot": np.zeros(mc.steps),
     }
-    limits = SafetyLimits(chi_range=(mc.chi_min, mc.chi_max), P_max=mc.P_max,
-                          I_dot_max=mc.I_dot_max, s_crit=mc.s_crit, f_max=mc.f_max)
-    report = safety_monitor(series, limits, window=mc.window)
+    report = safety_monitor(series, mc.limits(), window=mc.window)
     payload = {"seed": seed, "lambda": mc.lam, "n_samples": report.n_samples,
                "first_violation_time": report.first_violation_time,
                "counts": report.counts, "total": report.total,
@@ -351,7 +345,7 @@ def main(argv=None):
         "out": out,
         "parameters": cfg.resolved(),
         "code_version": __version__,
-        "kernel_path": "numba" if kernels.USE_NUMBA else "numpy",
+        "kernel_path": "numpy",
         "versions": {"python": platform.python_version(), "numpy": np.__version__},
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "wall_time_s": round(time.time() - start, 3),

@@ -23,7 +23,7 @@ from .cce import DoubleWellParams
 from .circuits import GateParams
 from .errors import InvalidConfigError
 from .experiments import Exp1Config, Exp2Config, Exp3Config, Exp4Config
-from .metrics import TUR_MIN_SAMPLES
+from .metrics import TUR_MIN_SAMPLES, SafetyLimits
 
 _RANGE_RE = re.compile(r"^\[\s*([^\s]+)\s*\.\.\s*([^\s]+)\s*:\s*(\d+)\s*\]$")
 
@@ -94,6 +94,8 @@ class ProtocolRunConfig(DoubleWellParams):
         super().__post_init__()
         if self.trials < 2:
             raise InvalidConfigError(f"trials must be >= 2 for a spread, got {self.trials}")
+        if min((self.T_protocol, *self.durations)) <= 0:
+            raise InvalidConfigError("T_protocol and durations must be > 0")
 
     def duration_sweep(self):
         return tuple(self.durations) if self.durations else (self.T_protocol,)
@@ -151,6 +153,13 @@ class MonitorConfig:
     chi_max: float = 100.0
     window: int = 100
 
+    def __post_init__(self):
+        self.limits()  # rejects chi_min >= chi_max and any limit <= 0
+
+    def limits(self):
+        return SafetyLimits(chi_range=(self.chi_min, self.chi_max), P_max=self.P_max,
+                            I_dot_max=self.I_dot_max, s_crit=self.s_crit, f_max=self.f_max)
+
 
 @dataclass
 class RunConfig:
@@ -187,17 +196,7 @@ def _plain(v):
     return v
 
 
-_SECTIONS = {
-    "exp1": Exp1Config,
-    "exp2": Exp2Config,
-    "exp3": Exp3Config,
-    "exp4": Exp4Config,
-    "bitflip": ProtocolRunConfig,
-    "erasure": ProtocolRunConfig,
-    "gates": GatesConfig,
-    "checks": ChecksConfig,
-    "monitor": MonitorConfig,
-}
+_SECTIONS = {f.name: f.type for f in fields(RunConfig) if f.name != "seed"}
 
 
 def _coerce(section, key, value, ftype):

@@ -7,6 +7,7 @@ byte-identical artifacts.
 
 import json
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,3 +82,16 @@ def write_result(result: ExperimentResult, out_dir):
     meta_path = os.path.join(out_dir, f"{result.name}.meta.json")
     write_json(meta_path, {"name": result.name, "columns": result.columns, **result.metadata})
     return csv_path, meta_path
+
+
+def sweep(fn, items, threads):
+    """[fn(item) for item in items], in item order, through a pool of `threads`
+    worker threads when threads > 1.
+
+    One thread runs inline: a pool worker's malloc arena keeps the freed sweep
+    buffers resident for the rest of the process.
+    """
+    if threads <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        return list(ex.map(fn, items))

@@ -14,7 +14,7 @@ import numpy as np
 from .. import kernels
 from ..errors import InvalidConfigError
 from ..numerics import SeededRng, ridge_fit
-from .base import ExperimentResult
+from .base import ExperimentResult, sweep
 
 
 @dataclass
@@ -47,6 +47,8 @@ class Exp1Config:
             raise InvalidConfigError("rot_pairs too large for dim")
         if self.steps < 4 * self.k_lags:
             raise InvalidConfigError("steps must cover several lag windows")
+        if self.ridge < 0:
+            raise InvalidConfigError("ridge must be >= 0")
 
 
 def make_input(cfg: Exp1Config, rng: SeededRng):
@@ -101,16 +103,6 @@ def run_exp1(cfg: Exp1Config, seed: int, threads: int = 1) -> ExperimentResult:
         columns=["lambda", "MC", "I_irr_rate", "chi"],
         metadata={"seed": seed, "config": cfg.__dict__.copy()},
     )
-    # rows assemble in grid order regardless of completion order
-    # one thread runs inline: a pool worker's malloc arena keeps the freed sweep
-    # buffers resident (a later exp4 in the same process peaked 16 MB higher)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            rows = list(ex.map(sweep_point, cfg.lambda_grid))
-    else:
-        rows = [sweep_point(lam) for lam in cfg.lambda_grid]
-    for row in rows:
+    for row in sweep(sweep_point, cfg.lambda_grid, threads):
         result.add_row(**row)
     return result

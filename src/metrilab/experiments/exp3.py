@@ -14,7 +14,7 @@ import numpy as np
 from .. import kernels
 from ..errors import InvalidConfigError
 from ..numerics import SeededRng, ridge_fit, spectral_radius
-from .base import ExperimentResult
+from .base import ExperimentResult, sweep
 
 
 @dataclass
@@ -46,6 +46,8 @@ class Exp3Config:
             raise InvalidConfigError("leak must lie in (0, 1]")
         if self.washout < 0 or self.train < 10 or self.test < 10:
             raise InvalidConfigError("washout >= 0 and train/test >= 10 required")
+        if self.ridge < 0:
+            raise InvalidConfigError("ridge must be >= 0")
 
     @property
     def total_steps(self):
@@ -97,15 +99,6 @@ def run_exp3(cfg: Exp3Config, seed: int, threads: int = 1) -> ExperimentResult:
         columns=["rho", "deltaE", "C", "chi"],
         metadata={"seed": seed, "config": cfg.__dict__.copy(), "mse_base": mse_base},
     )
-    # one thread runs inline: a pool worker's malloc arena keeps the freed sweep
-    # buffers resident (a later exp4 in the same process peaked 16 MB higher)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            rows = list(ex.map(sweep_point, cfg.rho_grid))
-    else:
-        rows = [sweep_point(rho) for rho in cfg.rho_grid]
-    for row in rows:
+    for row in sweep(sweep_point, cfg.rho_grid, threads):
         result.add_row(**row)
     return result

@@ -47,12 +47,18 @@ class Exp4Config:
     def __post_init__(self):
         if self.K < 1:
             raise InvalidConfigError("K must be >= 1")
+        if self.frame_every < 1:
+            raise InvalidConfigError("frame_every must be >= 1")
         if self.steps < 2 * self.frame_every:
             raise InvalidConfigError("steps must cover at least two frames")
         if not 0 < self.top_frac < 1:
             raise InvalidConfigError("top_frac must lie in (0, 1)")
-        if self.patch % self.stride != 0 and self.stride > self.patch:
-            raise InvalidConfigError("stride must not exceed patch size")
+        if not 1 <= self.patch <= min(self.height, self.width):
+            raise InvalidConfigError("patch must satisfy 1 <= patch <= min(height, width)")
+        if not 1 <= self.stride <= self.patch:
+            raise InvalidConfigError("stride must satisfy 1 <= stride <= patch")
+        if self.bins < 1:
+            raise InvalidConfigError("bins must be >= 1")
 
 
 def initial_blob(cfg: Exp4Config, rng: SeededRng):

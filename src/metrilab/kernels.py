@@ -1,29 +1,15 @@
-"""Hot numeric kernels: numba @njit implementations with pure-numpy fallbacks.
+"""Hot numeric kernels, one numpy implementation each.
 
-The active path is chosen at import time: numba is used when importable unless
-the environment variable METRILAB_NO_NUMBA is set to a truthy value. The
-`_*_loops` functions are the numba bodies and, run as plain Python, the
-reference the numpy paths are tested against (tests/test_kernels.py):
+Each public kernel (`ca_step`, `patch_entropy`, `doublewell_chunk`,
+`rotor_chunk`, `esn_collect`) has a plain-Python reference loop `_*_loops`
+beside it, which tests/test_kernels.py runs as the oracle:
 
-- lattice step and double well: the numpy path is bit-exact;
-- patch entropy, rotor and ESN: the numpy path sums or rounds in another
-  order and agrees within the tested tolerances (1e-12 in the tests).
-
-benchmarks/bench_kernels.py times both paths.
+- lattice step and double well: the kernel is bit-exact with its loop;
+- patch entropy, rotor and ESN: the kernel sums or rounds in another order
+  and agrees with its loop within 1e-12.
 """
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via env flag instead
-    HAS_NUMBA = False
-
-USE_NUMBA = HAS_NUMBA and os.environ.get("METRILAB_NO_NUMBA", "").lower() not in ("1", "true", "yes")
 
 # Moore neighborhood, fixed order; index order breaks ties in the lattice
 # remainder distribution, so this list is part of the update semantics.
@@ -94,11 +80,21 @@ def _ca_step_loops(E, K, offs):
     return E_new, flows
 
 
-def _ca_step_numpy(E, K, offs):
+def ca_step(E, K):
+    """One synchronous conservative-diffusion update on an integer lattice.
+
+    Returns (E_next, flows) where flows[n] holds the quanta sent from each
+    cell to its n-th Moore neighbor. sum(E_next) == sum(E) exactly.
+    """
+    E = np.asarray(E, dtype=np.int64)
+    if np.any(E < 0):
+        raise ValueError("lattice energies must be nonnegative integers")
+    if K < 1:
+        raise ValueError("flow divisor K must be >= 1")
     H, W = E.shape
     d = np.full((8, H, W), -1, dtype=np.int64)
     for n in range(8):
-        di, dj = int(offs[n, 0]), int(offs[n, 1])
+        di, dj = int(MOORE_OFFSETS[n, 0]), int(MOORE_OFFSETS[n, 1])
         src = (slice(max(0, -di), H - max(0, di)), slice(max(0, -dj), W - max(0, dj)))
         dst = (slice(max(0, di), H - max(0, -di)), slice(max(0, dj), W - max(0, -dj)))
         d[n][src] = E[src] - E[dst]
@@ -115,7 +111,7 @@ def _ca_step_numpy(E, K, offs):
         o = np.where(cap[None, :, :], scaled + bump, o)
     inflow = np.zeros_like(E)
     for n in range(8):
-        di, dj = int(offs[n, 0]), int(offs[n, 1])
+        di, dj = int(MOORE_OFFSETS[n, 0]), int(MOORE_OFFSETS[n, 1])
         src = (slice(max(0, -di), H - max(0, di)), slice(max(0, -dj), W - max(0, dj)))
         dst = (slice(max(0, di), H - max(0, -di)), slice(max(0, dj), W - max(0, -dj)))
         inflow[dst] += o[n][src]
@@ -155,7 +151,12 @@ def _patch_entropy_loops(E, w, stride, nbins, emax):
     return out
 
 
-def _patch_entropy_numpy(E, w, stride, nbins, emax):
+def patch_entropy(E, w, stride, nbins, emax):
+    """Shannon entropy (nats) of value histograms over sliding w x w patches.
+
+    Values are binned linearly over the global range [0, emax] with `nbins`
+    bins; patches are sampled on a `stride` grid.
+    """
     H, W = E.shape
     hp = (H - w) // stride + 1
     wp = (W - w) // stride + 1
@@ -189,18 +190,24 @@ def _doublewell_chunk_loops(p, work, csched, noise, a, b, c, inv_gamma, dt):
     return p, work
 
 
-def _doublewell_chunk_numpy(p, work, csched, noise, a, b, c, inv_gamma, dt):
+def doublewell_chunk(p, work, csched, noise, a, b, c, inv_gamma, dt):
+    """Advance a double-well Langevin ensemble over one chunk of steps.
+
+    csched has one more entry than noise rows; work accumulates the
+    control-substep energy changes (work done on each trial). Returns the new
+    positions and `work`; the caller's `p` is not mutated.
+    """
     # Same operations, in the same association order, as _doublewell_chunk_loops
     # (IEEE + and * are commutative, so only the grouping matters), which keeps
-    # the two paths bit-exact. x*x*x also avoids float64 `power`, which is
-    # slow for negative bases.
+    # the two bit-exact. x*x*x also avoids float64 `power`, which is slow for
+    # negative bases.
     m = noise.shape[0]
     coef = -c * (csched[1:] - csched[:-1])
     cc1 = c * csched[1:]
     a4 = -4.0 * a
     b2 = 2.0 * b
     h = dt * inv_gamma
-    x = p.copy()  # the caller's p is not mutated
+    x = p.copy()
     t = np.empty_like(x)
     u = np.empty_like(x)
     for s in range(m):
@@ -252,10 +259,12 @@ def _rotor_chunk_loops(x, cos_w, sin_w, lam, bvec, u, noise, dt, states):
     return x
 
 
-def _rotor_chunk_numpy(x, cos_w, sin_w, lam, bvec, u, noise, dt, states):
-    T = noise.shape[0]
+def rotor_chunk(x, omegas, lam, bvec, u, noise, dt, states):
+    """Drive the renormalized rotor reservoir over len(u) steps, filling `states`."""
+    cos_w = np.cos(np.asarray(omegas) * dt)
+    sin_w = np.sin(np.asarray(omegas) * dt)
     m = cos_w.shape[0]
-    for t in range(T):
+    for t in range(noise.shape[0]):
         v = (1.0 - lam * dt) * x + dt * bvec * u[t]
         a = v[0 : 2 * m : 2].copy()
         b = v[1 : 2 * m : 2].copy()
@@ -284,69 +293,10 @@ def _esn_collect_loops(W, win, y, leak, noise, states):
     return states
 
 
-def _esn_collect_numpy(W, win, y, leak, noise, states):
-    T = y.shape[0]
+def esn_collect(W, win, y, leak, noise, states):
+    """Collect leaky-tanh echo-state trajectories; states[t] = x_{t+1}."""
     x = np.zeros(W.shape[0])
-    for t in range(T):
+    for t in range(y.shape[0]):
         x = (1.0 - leak) * x + leak * np.tanh(W @ x + win * y[t]) + noise[t]
         states[t] = x
     return states
-
-
-if USE_NUMBA:
-    _ca_step_impl = njit(cache=True)(_ca_step_loops)
-    _patch_entropy_impl = njit(cache=True)(_patch_entropy_loops)
-    _doublewell_chunk_impl = njit(cache=True)(_doublewell_chunk_loops)
-    _rotor_chunk_impl = njit(cache=True)(_rotor_chunk_loops)
-    _esn_collect_impl = njit(cache=True)(_esn_collect_loops)
-else:
-    _ca_step_impl = _ca_step_numpy
-    _patch_entropy_impl = _patch_entropy_numpy
-    _doublewell_chunk_impl = _doublewell_chunk_numpy
-    _rotor_chunk_impl = _rotor_chunk_numpy
-    _esn_collect_impl = _esn_collect_numpy
-
-
-def ca_step(E, K):
-    """One synchronous conservative-diffusion update on an integer lattice.
-
-    Returns (E_next, flows) where flows[n] holds the quanta sent from each
-    cell to its n-th Moore neighbor. sum(E_next) == sum(E) exactly.
-    """
-    E = np.ascontiguousarray(E, dtype=np.int64)
-    if np.any(E < 0):
-        raise ValueError("lattice energies must be nonnegative integers")
-    if K < 1:
-        raise ValueError("flow divisor K must be >= 1")
-    return _ca_step_impl(E, np.int64(K), MOORE_OFFSETS)
-
-
-def patch_entropy(E, w, stride, nbins, emax):
-    """Shannon entropy (nats) of value histograms over sliding w x w patches.
-
-    Values are binned linearly over the global range [0, emax] with `nbins`
-    bins; patches are sampled on a `stride` grid.
-    """
-    E = np.ascontiguousarray(E, dtype=np.int64)
-    return _patch_entropy_impl(E, np.int64(w), np.int64(stride), np.int64(nbins), np.int64(emax))
-
-
-def doublewell_chunk(p, work, csched, noise, a, b, c, inv_gamma, dt):
-    """Advance a double-well Langevin ensemble over one chunk of steps.
-
-    csched has one more entry than noise rows; work accumulates the
-    control-substep energy changes (work done on each trial).
-    """
-    return _doublewell_chunk_impl(p, work, csched, noise, a, b, c, inv_gamma, dt)
-
-
-def rotor_chunk(x, omegas, lam, bvec, u, noise, dt, states):
-    """Drive the renormalized rotor reservoir over len(u) steps, filling `states`."""
-    cos_w = np.cos(np.asarray(omegas) * dt)
-    sin_w = np.sin(np.asarray(omegas) * dt)
-    return _rotor_chunk_impl(x, cos_w, sin_w, lam, bvec, u, noise, dt, states)
-
-
-def esn_collect(W, win, y, leak, noise, states):
-    """Collect leaky-tanh echo-state trajectories; states[t] = x_{t+1}."""
-    return _esn_collect_impl(np.ascontiguousarray(W), win, y, leak, noise, states)

@@ -5,7 +5,6 @@ import platform
 import numpy as np
 import pytest
 
-from metrilab import kernels
 from metrilab.cli import main
 from metrilab.config import parse_config, parse_config_text, parse_value
 from metrilab.errors import InvalidConfigError
@@ -95,7 +94,7 @@ class TestCLI:
         assert manifest["seed"] == 5
         assert manifest["parameters"]["exp1"]["steps"] == 400
         assert "timestamp" in manifest
-        assert manifest["kernel_path"] == ("numba" if kernels.USE_NUMBA else "numpy")
+        assert manifest["kernel_path"] == "numpy"
         assert manifest["versions"] == {"python": platform.python_version(), "numpy": np.__version__}
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -195,8 +194,25 @@ class TestCLI:
         ("bitflip", "[bitflip]\ntrials = 1\n", False, 2, "config-error"),
         ("gates", "[gates]\npulse_amplitude = 3.0\n", False, 2, "config-error"),
         ("monitor", "", True, 2, "bad-output-dir"),
+        ("exp1", "[exp1]\nridge = -1\n", False, 2, "config-error"),
+        ("exp3", "[exp3]\nridge = -1\n", False, 2, "config-error"),
+        ("exp4", "[exp4]\nstride = 0\n", False, 2, "config-error"),
+        ("exp4", "[exp4]\npatch = 0\n", False, 2, "config-error"),
+        ("exp4", "[exp4]\nbins = 0\n", False, 2, "config-error"),
+        ("exp4", "[exp4]\nframe_every = 0\n", False, 2, "config-error"),
+        ("exp4", "[exp4]\nheight = 4\nwidth = 4\n", False, 2, "config-error"),
+        ("monitor", "[monitor]\nchi_min = 5\nchi_max = 1\n", False, 2, "config-error"),
+        ("monitor", "[monitor]\nP_max = 0\n", False, 2, "config-error"),
+        ("bitflip", "[bitflip]\ndt = 0\n", False, 2, "config-error"),
+        ("bitflip", "[bitflip]\nsnapshots = 0\n", False, 2, "config-error"),
+        ("bitflip", "[bitflip]\nhist_bins = 0\n", False, 2, "config-error"),
+        ("bitflip", "[bitflip]\ndurations = [0.0, 10.0]\n", False, 2, "config-error"),
+        ("erasure", "[erasure]\nT_protocol = 0\n", False, 2, "config-error"),
     ], ids=["tur_walkers", "classical_trials", "erasure_trials", "bitflip_trials",
-            "pulse_amplitude", "out_is_file"])
+            "pulse_amplitude", "out_is_file", "exp1_ridge", "exp3_ridge", "exp4_stride",
+            "exp4_patch", "exp4_bins", "exp4_frame_every", "exp4_patch_exceeds_lattice",
+            "monitor_chi_range", "monitor_P_max", "bitflip_dt", "bitflip_snapshots",
+            "bitflip_hist_bins", "bitflip_durations", "erasure_T_protocol"])
     def test_exit_code_table(self, tmp_path, capsys, subcommand, config, out_is_file, code, error):
         # each failure ends in its documented code with one JSON line on
         # stderr; an exception escaping main fails the test
