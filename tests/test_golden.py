@@ -32,6 +32,7 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "cli")
     ("gates", 1),
     ("monitor", 1),
     ("exp2", 1),
+    ("exp4", 1),
 ])
 def test_cli_outputs_match_stored_bytes(tmp_path, name, threads):
     out = tmp_path / "out"
