@@ -8,7 +8,7 @@ also contains the controlled double-well Langevin simulations used for the
 bit-flip and erasure protocols, with full work/heat/entropy bookkeeping.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -163,9 +163,7 @@ def preserved_information(ledger: IrreversibilityLedger, space: EncodingSpace, h
     total = p.sum()
     if total <= 0:
         return 0.0
-    p = p / total
-    nz = p[p > 0]
-    return float(-np.sum(nz * np.log(nz)))
+    return merge_entropy(p / total)
 
 
 # ---------------------------------------------------------------------------
@@ -249,28 +247,14 @@ class BitFlipReport:
         return self.work_total - self.dU_sys - self.heat_env
 
     def to_json_dict(self):
-        occ = {k: np.asarray(v).tolist() for k, v in self.occupancy.items()}
-        ser = {k: np.asarray(v).tolist() for k, v in self.series.items()}
-        return {
-            "success_prob": self.success_prob,
-            "work_total": self.work_total,
-            "work_std": self.work_std,
-            "heat_env": self.heat_env,
-            "heat_std": self.heat_std,
-            "dU_sys": self.dU_sys,
-            "dS_sys": self.dS_sys,
-            "dissipated_work": self.dissipated_work,
-            "delta_F": self.delta_F,
-            "trials": self.trials,
-            "T_protocol": self.T_protocol,
-            "dt": self.dt,
-            "kT": self.kT,
-            "alpha": self.alpha,
-            "first_law_residual": self.first_law_residual(),
-            "ledger_entropy": self.ledger.cumulative_entropy(),
-            "occupancy": occ,
-            "series": ser,
-        }
+        """Every field but the per-trial arrays and the ledger, plus the
+        first-law residual and the ledger's entropy. The series stay numpy
+        arrays; experiments.base.write_json turns them into lists."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("per_trial", "ledger")}
+        out["first_law_residual"] = self.first_law_residual()
+        out["ledger_entropy"] = self.ledger.cumulative_entropy()
+        return out
 
 
 def _hist_entropy(samples, bins, lo, hi):
@@ -280,8 +264,7 @@ def _hist_entropy(samples, bins, lo, hi):
     if n == 0:
         return 0.0
     width = edges[1] - edges[0]
-    p = counts[counts > 0] / n
-    return float(-np.sum(p * np.log(p)) + np.log(width))
+    return float(merge_entropy(counts / n) + np.log(width))
 
 
 def _advance(params: DoubleWellParams, p, work, sched, noise, inv_gamma, step, phase):
@@ -299,8 +282,8 @@ def _advance(params: DoubleWellParams, p, work, sched, noise, inv_gamma, step, p
 def _run_protocol(params: DoubleWellParams, schedule, T_protocol, trials, rng: SeededRng,
                   init_labels, space: EncodingSpace):
     """Shared driver: burn-in, chunked Langevin march, snapshot bookkeeping."""
-    if trials == 0:
-        raise InvalidConfigError("trials must be >= 1")
+    if trials < 2:
+        raise InvalidConfigError(f"trials must be >= 2 for a spread, got {trials}")
     dt = params.dt
     steps = len(schedule) - 1
     gen = rng.generator()

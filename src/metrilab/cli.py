@@ -1,11 +1,16 @@
 """Single entry point: seeded experiment runs, gate verification, double-well
-protocols, and bound-check suites, each writing CSV/JSON artifacts plus a run
-manifest into the output directory.
+protocols, and bound-check suites.
+
+Each subcommand handler returns a `Run`: the result table, extra files by
+name, the failing rows and a one-line summary. `main` writes all of them,
+plus a run manifest, into the output directory through experiments.base.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 check failure.
-CSV tables and *.meta.json / *.json result sidecars are byte-deterministic
-for a fixed (config, seed); manifest.json additionally records timestamp and
-wall time and is the one artifact excluded from the byte-identity guarantee.
+Each failing row is printed as one JSON line on stderr (also under --quiet)
+and listed under `failures` in the manifest. CSV tables and *.meta.json /
+*.json result sidecars are byte-deterministic for a fixed (config, seed);
+manifest.json additionally records timestamp and wall time and is the one
+artifact excluded from the byte-identity guarantee.
 """
 
 import argparse
@@ -14,6 +19,7 @@ import os
 import platform
 import sys
 import time
+from collections import namedtuple
 from datetime import datetime, timezone
 
 import numpy as np
@@ -32,7 +38,7 @@ from .circuits import (
 from .config import RunConfig, parse_config
 from .errors import InvalidConfigError, MetrilabError
 from .experiments import run_exp1, run_exp2, run_exp3, run_exp4
-from .experiments.base import ExperimentResult, sweep, write_json, write_result
+from .experiments.base import ExperimentResult, jsonable, sweep, write_json, write_result
 from .metrics import (
     biased_walk_currents,
     classical_bound_check,
@@ -50,25 +56,34 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_CHECK_FAILED = 4
 
+#: What a subcommand produced: `result` is an ExperimentResult or None,
+#: `sidecars` maps file names to a JSON payload or CSV text, `failures` holds
+#: one dict per failing row and `summary` is the line printed unless --quiet.
+Run = namedtuple("Run", "result sidecars failures summary")
 
-def _run_experiment(which):
-    def handler(cfg: RunConfig, seed, out, threads, quiet):
-        sub = getattr(cfg, which)
-        if which == "exp4":
-            def sink(t, field):
-                np.save(os.path.join(out, f"field_t{t:04d}.npy"), field)
 
-            result = run_exp4(sub, seed, field_sink=sink if sub.save_fields else None)
-        elif which in ("exp1", "exp3"):
-            runner = run_exp1 if which == "exp1" else run_exp3
-            result = runner(sub, seed, threads=threads)
-        else:
-            result = run_exp2(sub, seed)
-        write_result(result, out)
-        if not quiet:
-            print(f"{which}: wrote {len(result.rows)} rows to {out}")
-        return EXIT_OK
-    return handler
+def _table_run(result, out):
+    return Run(result, {}, [], f"{result.name}: wrote {len(result.rows)} rows to {out}")
+
+
+def _handle_exp1(cfg: RunConfig, seed, out, threads):
+    return _table_run(run_exp1(cfg.exp1, seed, threads=threads), out)
+
+
+def _handle_exp2(cfg: RunConfig, seed, out, threads):
+    return _table_run(run_exp2(cfg.exp2, seed), out)
+
+
+def _handle_exp3(cfg: RunConfig, seed, out, threads):
+    return _table_run(run_exp3(cfg.exp3, seed, threads=threads), out)
+
+
+def _handle_exp4(cfg: RunConfig, seed, out, threads):
+    def sink(t, field):
+        np.save(os.path.join(out, f"field_t{t:04d}.npy"), field)
+
+    sub = cfg.exp4
+    return _table_run(run_exp4(sub, seed, field_sink=sink if sub.save_fields else None), out)
 
 
 def _gate_rows(gcfg, seed):
@@ -100,7 +115,7 @@ def _gate_rows(gcfg, seed):
     return rows
 
 
-def _handle_gates(cfg: RunConfig, seed, out, threads, quiet):
+def _handle_gates(cfg: RunConfig, seed, out, threads):
     rows = _gate_rows(cfg.gates, seed)
     result = ExperimentResult(name="gates",
                               columns=["gate", "noise", "passed", "counterexamples"],
@@ -109,25 +124,24 @@ def _handle_gates(cfg: RunConfig, seed, out, threads, quiet):
                                                      "pulse_amplitude": PULSE_AMPLITUDE}})
     for r in rows:
         result.add_row(**r)
-    write_result(result, out)
-    ok = all(r["passed"] for r in rows)
-    if not quiet:
-        print(f"gates: {'all pass' if ok else 'FAILURES'} ({len(rows)} checks)")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    failures = [{k: r[k] for k in ("gate", "noise", "counterexamples")}
+                for r in rows if not r["passed"]]
+    return Run(result, {}, failures,
+               f"gates: {'FAILURES' if failures else 'all pass'} ({len(rows)} checks)")
 
 
-def _write_trials_csv(path, report):
-    from .experiments.base import format_cell
+def _protocol_sidecars(name, report, per_trial_csv):
+    """<name>.report.json, plus <name>.trials.csv when per_trial_csv is set."""
+    sidecars = {f"{name}.report.json": report.to_json_dict()}
+    if per_trial_csv:
+        cols = ["work", "heat", "final_state", "final_label"]
+        rows = [{"trial": i, **{c: report.per_trial[c][i] for c in cols}}
+                for i in range(report.trials)]
+        sidecars[f"{name}.trials.csv"] = ExperimentResult(name, ["trial", *cols], rows).to_csv_text()
+    return sidecars
 
-    pt = report.per_trial
-    with open(path, "w") as fh:
-        fh.write("trial,work,heat,final_state,final_label\n")
-        for i in range(report.trials):
-            cells = (i, pt["work"][i], pt["heat"][i], pt["final_state"][i], pt["final_label"][i])
-            fh.write(",".join(format_cell(c) for c in cells) + "\n")
 
-
-def _handle_bitflip(cfg: RunConfig, seed, out, threads, quiet):
+def _handle_bitflip(cfg: RunConfig, seed, out, threads):
     pc = cfg.bitflip
     result = ExperimentResult(
         name="bitflip",
@@ -135,23 +149,16 @@ def _handle_bitflip(cfg: RunConfig, seed, out, threads, quiet):
                  "dU_sys", "dS_sys", "dissipated_work", "work_std"],
         metadata={"seed": seed, "config": pc.__dict__.copy()},
     )
-    last = None
     for i, T in enumerate(pc.duration_sweep()):
         rep = simulate_bitflip(pc, T, pc.trials, SeededRng(seed).derive(i))
         result.add_row(T_protocol=T, success_prob=rep.success_prob, work_total=rep.work_total,
                        heat_env=rep.heat_env, dU_sys=rep.dU_sys, dS_sys=rep.dS_sys,
                        dissipated_work=rep.dissipated_work, work_std=rep.work_std)
-        last = rep
-    write_result(result, out)
-    write_json(os.path.join(out, "bitflip.report.json"), last.to_json_dict())
-    if pc.per_trial_csv:
-        _write_trials_csv(os.path.join(out, "bitflip.trials.csv"), last)
-    if not quiet:
-        print(f"bitflip: success={last.success_prob:.3f} W_diss={last.dissipated_work:.4f}")
-    return EXIT_OK
+    return Run(result, _protocol_sidecars("bitflip", rep, pc.per_trial_csv), [],
+               f"bitflip: success={rep.success_prob:.3f} W_diss={rep.dissipated_work:.4f}")
 
 
-def _handle_erasure(cfg: RunConfig, seed, out, threads, quiet):
+def _handle_erasure(cfg: RunConfig, seed, out, threads):
     pc = cfg.erasure
     rep = simulate_erasure(pc, pc.T_protocol, pc.trials, SeededRng(seed))
     bound = landauer_bound(rep)
@@ -164,14 +171,9 @@ def _handle_erasure(cfg: RunConfig, seed, out, threads, quiet):
     result.add_row(T_protocol=pc.T_protocol, success_prob=rep.success_prob, heat_env=rep.heat_env,
                    heat_std=rep.heat_std, landauer_bound=bound, work_total=rep.work_total,
                    dS_sys=rep.dS_sys, dissipated_work=rep.dissipated_work)
-    write_result(result, out)
-    write_json(os.path.join(out, "erasure.report.json"), rep.to_json_dict())
-    if pc.per_trial_csv:
-        _write_trials_csv(os.path.join(out, "erasure.trials.csv"), rep)
-    if not quiet:
-        print(f"erasure: heat={rep.heat_env:.4f} >= bound={bound:.4f}?"
-              f" {'yes' if rep.heat_env >= bound else 'NO'}")
-    return EXIT_OK
+    return Run(result, _protocol_sidecars("erasure", rep, pc.per_trial_csv), [],
+               f"erasure: heat={rep.heat_env:.4f} >= bound={bound:.4f}?"
+               f" {'yes' if rep.heat_env >= bound else 'NO'}")
 
 
 def _checks_rows(cfg: RunConfig, seed, threads=1):
@@ -248,23 +250,20 @@ def _checks_rows(cfg: RunConfig, seed, threads=1):
     return rows
 
 
-def _handle_checks(cfg: RunConfig, seed, out, threads, quiet):
+def _handle_checks(cfg: RunConfig, seed, out, threads):
     rows = _checks_rows(cfg, seed, threads)
     result = ExperimentResult(name="checks",
                               columns=["name", "lhs", "rhs", "satisfied", "slack", "seed"],
                               metadata={"seed": seed, "config": cfg.checks.__dict__.copy()})
     for r in rows:
         result.add_row(**{k: r[k] for k in result.columns})
-    write_result(result, out)
-    write_json(os.path.join(out, "checks.json"), rows)
-    failures = [r["name"] for r in rows if not r["satisfied"]]
-    if not quiet:
-        print(f"checks: {len(rows) - len(failures)}/{len(rows)} satisfied"
-              + (f"; failed: {', '.join(failures[:5])}" if failures else ""))
-    return EXIT_CHECK_FAILED if failures else EXIT_OK
+    failures = [{k: r[k] for k in ("name", "lhs", "rhs", "slack")}
+                for r in rows if not r["satisfied"]]
+    return Run(result, {"checks.json": rows}, failures,
+               f"checks: {len(rows) - len(failures)}/{len(rows)} satisfied")
 
 
-def _handle_monitor(cfg: RunConfig, seed, out, threads, quiet):
+def _handle_monitor(cfg: RunConfig, seed, out, threads):
     mc = cfg.monitor
     # Constant-flux series from the renormalized rotor regime: information and
     # entropy rates are exactly lam; the work channel carries no task proxy.
@@ -281,17 +280,15 @@ def _handle_monitor(cfg: RunConfig, seed, out, threads, quiet):
                "first_violation_time": report.first_violation_time,
                "counts": report.counts, "total": report.total,
                "limits": cfg.monitor.__dict__.copy()}
-    write_json(os.path.join(out, "monitor.json"), payload)
-    if not quiet:
-        print(f"monitor: {report.total} violations over {report.n_samples} samples")
-    return EXIT_OK
+    return Run(None, {"monitor.json": payload}, [],
+               f"monitor: {report.total} violations over {report.n_samples} samples")
 
 
 HANDLERS = {
-    "exp1": _run_experiment("exp1"),
-    "exp2": _run_experiment("exp2"),
-    "exp3": _run_experiment("exp3"),
-    "exp4": _run_experiment("exp4"),
+    "exp1": _handle_exp1,
+    "exp2": _handle_exp2,
+    "exp3": _handle_exp3,
+    "exp4": _handle_exp4,
     "gates": _handle_gates,
     "bitflip": _handle_bitflip,
     "erasure": _handle_erasure,
@@ -329,7 +326,7 @@ def main(argv=None):
         print(json.dumps({"error": "bad-output-dir", "detail": str(exc)}), file=sys.stderr)
         return EXIT_CONFIG
     try:
-        code = HANDLERS[args.subcommand](cfg, seed, out, max(1, args.threads), args.quiet)
+        run = HANDLERS[args.subcommand](cfg, seed, out, max(1, args.threads))
     except InvalidConfigError as exc:
         print(json.dumps({"error": "config-error", "detail": str(exc)}), file=sys.stderr)
         return EXIT_CONFIG
@@ -337,6 +334,20 @@ def main(argv=None):
         print(json.dumps({"error": "numerical-failure", "kind": type(exc).__name__,
                           "detail": str(exc)}), file=sys.stderr)
         return EXIT_NUMERICAL
+
+    if run.result is not None:
+        write_result(run.result, out)
+    for fname, payload in run.sidecars.items():
+        if isinstance(payload, str):
+            with open(os.path.join(out, fname), "w") as fh:
+                fh.write(payload)
+        else:
+            write_json(os.path.join(out, fname), payload)
+    if not args.quiet:
+        print(run.summary)
+    for row in run.failures:
+        print(json.dumps(jsonable({"error": "check-failed", **row})), file=sys.stderr)
+    code = EXIT_CHECK_FAILED if run.failures else EXIT_OK
 
     manifest = {
         "subcommand": args.subcommand,
@@ -350,10 +361,9 @@ def main(argv=None):
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "wall_time_s": round(time.time() - start, 3),
         "exit_code": code,
+        "failures": run.failures,
     }
-    with open(os.path.join(out, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(out, "manifest.json"), manifest)
     return code
 
 

@@ -23,6 +23,7 @@ from .cce import DoubleWellParams
 from .circuits import GateParams
 from .errors import InvalidConfigError
 from .experiments import Exp1Config, Exp2Config, Exp3Config, Exp4Config
+from .experiments.base import jsonable
 from .metrics import TUR_MIN_SAMPLES, SafetyLimits
 
 _RANGE_RE = re.compile(r"^\[\s*([^\s]+)\s*\.\.\s*([^\s]+)\s*:\s*(\d+)\s*\]$")
@@ -177,23 +178,7 @@ class RunConfig:
 
     def resolved(self):
         """Every parameter in force, defaults included."""
-        out = {"seed": self.seed}
-        for f in fields(self):
-            if f.name == "seed":
-                continue
-            sub = getattr(self, f.name)
-            out[f.name] = {k: _plain(v) for k, v in dataclasses.asdict(sub).items()}
-        return out
-
-
-def _plain(v):
-    if isinstance(v, tuple):
-        return [_plain(x) for x in v]
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    return v
+        return jsonable(dataclasses.asdict(self))
 
 
 _SECTIONS = {f.name: f.type for f in fields(RunConfig) if f.name != "seed"}

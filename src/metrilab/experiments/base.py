@@ -51,13 +51,14 @@ class ExperimentResult:
         return "\n".join(lines) + "\n"
 
 
-def _jsonable(obj):
+def jsonable(obj):
+    """obj with numpy arrays and scalars, and tuples, turned into plain JSON types."""
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
+        return {k: jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return [jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
+        return jsonable(obj.tolist())
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.floating,)):
@@ -69,7 +70,7 @@ def _jsonable(obj):
 
 def write_json(path, payload):
     with open(path, "w") as fh:
-        json.dump(_jsonable(payload), fh, sort_keys=True, indent=2)
+        json.dump(jsonable(payload), fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 

@@ -43,6 +43,8 @@ class Exp1Config:
                                      "(a small floor keeps the efficiency finite)")
         if sorted(self.lambda_grid) != list(self.lambda_grid):
             raise InvalidConfigError("lambda_grid must be sorted ascending")
+        if self.dim < 1:
+            raise InvalidConfigError("dim must be >= 1")
         if 2 * self.rot_pairs > self.dim:
             raise InvalidConfigError("rot_pairs too large for dim")
         if self.steps < 4 * self.k_lags:

@@ -42,6 +42,8 @@ class Exp3Config:
             raise InvalidConfigError("rho_grid must be sorted ascending")
         if min(self.rho_grid) <= 0:
             raise InvalidConfigError("spectral radii must be positive")
+        if self.n_reservoir < 1:
+            raise InvalidConfigError("n_reservoir must be >= 1")
         if not 0 < self.leak <= 1:
             raise InvalidConfigError("leak must lie in (0, 1]")
         if self.washout < 0 or self.train < 10 or self.test < 10:

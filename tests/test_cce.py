@@ -128,6 +128,11 @@ class TestBitFlip:
         with pytest.raises(InvalidConfigError):
             simulate_bitflip(default_params, 10.0, 0, SeededRng(0))
 
+    def test_single_trial_invalid(self, default_params):
+        # the work and heat spreads use ddof = 1, which one trial cannot give
+        with pytest.raises(InvalidConfigError, match="trials must be >= 2"):
+            simulate_bitflip(default_params, 1.0, 1, SeededRng(0))
+
     def test_untilted_never_flips(self):
         # escape requires hopping a 10 kT barrier: essentially never happens
         p = DoubleWellParams(C_max=0.0, D=0.1)

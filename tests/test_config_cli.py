@@ -169,6 +169,39 @@ class TestCLI:
         failed = [r["name"] for r in rows if not r["satisfied"]]
         assert any("trace_bound" in name for name in failed)
 
+    @pytest.mark.parametrize("quiet", (True, False))
+    @pytest.mark.parametrize("subcommand,config,named", [
+        ("checks", "[checks]\nchannel_preset = corrupted\ntur_ensembles = 2\n"
+                   "trace_random_channels = 3\nclassical_trials = 120\n",
+         [{"name": n} for n in ("trace_bound_gaussian", "trace_bound_logistic_00",
+                                "trace_bound_logistic_01", "trace_bound_logistic_02")]),
+        ("gates", "[gates]\nh_ff = 2.5\n",
+         [{"gate": "FLIPFLOP", "noise": 0.0, "counterexamples": 1},
+          {"gate": "FLIPFLOP", "noise": 1e-3, "counterexamples": 1}]),
+    ], ids=["checks", "gates"])
+    def test_failing_rows_named(self, tmp_path, capsys, subcommand, config, named, quiet):
+        # each failing row is one JSON line on stderr, --quiet or not, and is
+        # listed in the manifest
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        argv = [subcommand, "--config", str(cfg), "--seed", "0", "--out", str(out)]
+        assert run_cli(*argv, *(["--quiet"] if quiet else [])) == 4
+        captured = capsys.readouterr()
+        assert (captured.out == "") == quiet
+        lines = [json.loads(line) for line in captured.err.splitlines()]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_code"] == 4
+        assert [{"error": "check-failed", **row} for row in manifest["failures"]] == lines
+        assert len(lines) == len(named)
+        for line, expected in zip(lines, named):
+            assert line["error"] == "check-failed"
+            assert expected.items() <= line.items()
+        if subcommand == "checks":
+            for line in lines:
+                assert line["slack"] == pytest.approx(line["rhs"] - line["lhs"])
+                assert line["slack"] < 0
+
     def test_monitor_counts_constant_overflow(self, tmp_path):
         out = tmp_path / "m"
         cfg = tmp_path / "c.cfg"
@@ -208,11 +241,14 @@ class TestCLI:
         ("bitflip", "[bitflip]\nhist_bins = 0\n", False, 2, "config-error"),
         ("bitflip", "[bitflip]\ndurations = [0.0, 10.0]\n", False, 2, "config-error"),
         ("erasure", "[erasure]\nT_protocol = 0\n", False, 2, "config-error"),
+        ("exp1", "[exp1]\ndim = 0\nrot_pairs = 0\n", False, 2, "config-error"),
+        ("exp3", "[exp3]\nn_reservoir = 0\n", False, 2, "config-error"),
     ], ids=["tur_walkers", "classical_trials", "erasure_trials", "bitflip_trials",
             "pulse_amplitude", "out_is_file", "exp1_ridge", "exp3_ridge", "exp4_stride",
             "exp4_patch", "exp4_bins", "exp4_frame_every", "exp4_patch_exceeds_lattice",
             "monitor_chi_range", "monitor_P_max", "bitflip_dt", "bitflip_snapshots",
-            "bitflip_hist_bins", "bitflip_durations", "erasure_T_protocol"])
+            "bitflip_hist_bins", "bitflip_durations", "erasure_T_protocol", "exp1_dim",
+            "exp3_n_reservoir"])
     def test_exit_code_table(self, tmp_path, capsys, subcommand, config, out_is_file, code, error):
         # each failure ends in its documented code with one JSON line on
         # stderr; an exception escaping main fails the test

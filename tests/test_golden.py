@@ -1,8 +1,8 @@
-"""Stored reference outputs: each subcommand below is run through the CLI on
-a reduced config (`tests/golden/cli/<name>.cfg`, seed 3) and every artifact
-it writes, manifest.json aside, must equal the stored bytes in
-`tests/golden/cli/<name>/`. The sweeps run at one and at three threads
-against the same references.
+"""Stored reference outputs: each subcommand of `cli.HANDLERS` is run through
+the CLI on a reduced config (`tests/golden/cli/<name>.cfg`, seed 3) and every
+artifact it writes, manifest.json aside, must equal the stored bytes in
+`tests/golden/cli/<name>/`, so a subcommand without a reference fails. The
+sweeps run at one and at three threads against the same references.
 
 To regenerate after a deliberate output change (in a commit of its own):
 
@@ -15,24 +15,17 @@ import os
 
 import pytest
 
-from metrilab.cli import main as cli_main
+from metrilab.cli import HANDLERS, main as cli_main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "cli")
 
 
+# the subcommands whose rows run through experiments.base.sweep
+SWEEPS = ("checks", "exp1", "exp3")
+
+
 @pytest.mark.parametrize("name,threads", [
-    ("bitflip", 1),
-    ("erasure", 1),
-    ("checks", 1),
-    ("checks", 3),
-    ("exp1", 1),
-    ("exp1", 3),
-    ("exp3", 1),
-    ("exp3", 3),
-    ("gates", 1),
-    ("monitor", 1),
-    ("exp2", 1),
-    ("exp4", 1),
+    (name, threads) for name in sorted(HANDLERS) for threads in ((1, 3) if name in SWEEPS else (1,))
 ])
 def test_cli_outputs_match_stored_bytes(tmp_path, name, threads):
     out = tmp_path / "out"
