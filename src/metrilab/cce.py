@@ -19,6 +19,9 @@ from .numerics import SeededRng, Trajectory
 
 #: sentinel returned by classifiers for separatrix-band states
 BOUNDARY = "__boundary__"
+BAND_FRAC = 0.05              # double-well boundary band, fraction of the well separation
+FREE_ENERGY_HALF_WIDTH = 4.0  # free-energy grid half-width, in units of the well scale
+FREE_ENERGY_GRID_POINTS = 8001
 
 
 def merge_entropy(probs, alpha=1.0) -> float:
@@ -100,13 +103,13 @@ def classify_basin(space: EncodingSpace, p, c=0.0):
     return lab
 
 
-def make_double_well_space(a=1.0, b=2.0, alpha=1.0, priors=(0.5, 0.5), band_frac=0.05):
+def make_double_well_space(a=1.0, b=2.0, alpha=1.0, priors=(0.5, 0.5)):
     """Two-label sign readout for the quartic double well a p^4 - b p^2.
 
-    The boundary band is band_frac * (well separation) around p = 0.
+    The boundary band is BAND_FRAC * (well separation) around p = 0.
     """
     sep = 2.0 * np.sqrt(b / (2.0 * a))
-    band = band_frac * sep
+    band = BAND_FRAC * sep
 
     def classify(p, c=0.0):
         if p < -band:
@@ -185,8 +188,8 @@ class DoubleWellParams:
     hist_bins: int = 128
 
     def __post_init__(self):
-        if min(self.a, self.b, self.c, self.gamma) <= 0 or self.D < 0:
-            raise InvalidConfigError("a, b, c, gamma must be > 0 and D >= 0")
+        if min(self.a, self.b, self.c, self.gamma, self.D) <= 0:
+            raise InvalidConfigError("a, b, c, gamma and D must be > 0")
         if not self.dt > 0 or self.snapshots < 1 or self.hist_bins < 1:
             raise InvalidConfigError("dt must be > 0 and snapshots, hist_bins >= 1")
 
@@ -208,12 +211,13 @@ class DoubleWellParams:
         p_star = np.sqrt(self.b / (6.0 * self.a))
         return abs(4.0 * self.a * p_star**3 - 2.0 * self.b * p_star) / self.c
 
-    def free_energy(self, C, grid_half_width=4.0, grid_points=8001):
+    def free_energy(self, C):
         """-kT ln Z(C) by trapezoid quadrature (no closed form for the quartic)."""
         if self.kT == 0:
             raise ValueError("free energy undefined at zero temperature")
         scale = max(1.0, np.sqrt(self.b / (2.0 * self.a)) + abs(self.c * C) / self.b)
-        p = np.linspace(-grid_half_width * scale, grid_half_width * scale, grid_points)
+        half = FREE_ENERGY_HALF_WIDTH * scale
+        p = np.linspace(-half, half, FREE_ENERGY_GRID_POINTS)
         u = self.potential(p, C)
         u0 = u.min()
         z = np.trapezoid(np.exp(-(u - u0) / self.kT), p)

@@ -139,6 +139,10 @@ class ChecksConfig:
             raise InvalidConfigError(f"tur_walkers must be >= {TUR_MIN_SAMPLES}, got {self.tur_walkers}")
         if self.classical_trials < 2:
             raise InvalidConfigError(f"classical_trials must be >= 2, got {self.classical_trials}")
+        if not 0 < self.near_eq_ratio < np.inf:
+            raise InvalidConfigError(f"near_eq_ratio must be finite and > 0, got {self.near_eq_ratio}")
+        if not self.classical_T > 0:
+            raise InvalidConfigError(f"classical_T must be > 0, got {self.classical_T}")
 
 
 @dataclass

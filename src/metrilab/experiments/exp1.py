@@ -51,6 +51,8 @@ class Exp1Config:
             raise InvalidConfigError("steps must cover several lag windows")
         if self.ridge < 0:
             raise InvalidConfigError("ridge must be >= 0")
+        if not (self.dt > 0 and self.alpha > 0):
+            raise InvalidConfigError("dt and alpha must be > 0")
 
 
 def make_input(cfg: Exp1Config, rng: SeededRng):

@@ -18,6 +18,10 @@ from ..errors import InvalidConfigError
 from ..numerics import SeededRng, Trajectory
 from .base import ExperimentResult
 
+LOCK_WINDOW_TIME = 10.0  # trailing window of the lock/drift phase-progress label
+LOCK_RAD = 0.5           # progress per window below which a rotator is locked
+DRIFT_RAD = 2.0          # progress per window above which it drifts
+
 
 @dataclass
 class Exp2Config:
@@ -42,6 +46,14 @@ class Exp2Config:
             raise InvalidConfigError("trials_per_freq must be >= 1")
         if not 0 < self.lock_window_frac <= 1:
             raise InvalidConfigError("lock_window_frac must lie in (0, 1]")
+        if not (self.dt > 0 and self.alpha > 0 and np.isfinite(self.horizon)):
+            raise InvalidConfigError("dt and alpha must be > 0 and horizon finite")
+        if self.steps < 1:
+            raise InvalidConfigError("horizon must cover at least one step of dt")
+
+    @property
+    def steps(self):
+        return int(round(self.horizon / self.dt))
 
 
 def _run_bank(cfg: Exp2Config, omega_in, phase, rng: SeededRng):
@@ -49,7 +61,7 @@ def _run_bank(cfg: Exp2Config, omega_in, phase, rng: SeededRng):
     observed-signal samples for the register machine)."""
     n_trials = omega_in.size
     k = len(cfg.freqs)
-    steps = int(round(cfg.horizon / cfg.dt))
+    steps = cfg.steps
     gen = rng.generator()
     theta = gen.uniform(0.0, 2.0 * np.pi, size=(n_trials, k))
     omegas = np.asarray(cfg.freqs)
@@ -147,8 +159,7 @@ def run_exp2(cfg: Exp2Config, seed: int) -> ExperimentResult:
 # lock/drift label sequence for path-length accounting
 # ---------------------------------------------------------------------------
 
-def lock_label_trajectory(cfg: Exp2Config, omega_in, seed, window_time=10.0,
-                          lock_rad=0.5, drift_rad=2.0):
+def lock_label_trajectory(cfg: Exp2Config, omega_in, seed):
     """Run a single rotator near the drive band and label each sample
     locked/drifting from the phase progress over a trailing window.
 
@@ -158,7 +169,7 @@ def lock_label_trajectory(cfg: Exp2Config, omega_in, seed, window_time=10.0,
     hold-previous hysteresis absorbs transient chatter.
     """
     gen = SeededRng(seed).generator()
-    steps = int(round(cfg.horizon / cfg.dt))
+    steps = cfg.steps
     theta = gen.uniform(0.0, 2.0 * np.pi)
     psi = np.empty(steps)
     sq = np.sqrt(cfg.dt)
@@ -169,18 +180,18 @@ def lock_label_trajectory(cfg: Exp2Config, omega_in, seed, window_time=10.0,
         dtheta = omega0 + cfg.couple * u * np.cos(theta) - cfg.gamma * np.sin(theta)
         theta = theta + cfg.dt * dtheta + cfg.osc_noise * sq * gen.standard_normal()
         psi[s] = theta - omega_in * t
-    w = max(1, int(round(window_time / cfg.dt)))
+    w = max(1, int(round(LOCK_WINDOW_TIME / cfg.dt)))
     progress = np.empty(steps)
     for s in range(steps):
         lo = max(0, s - w)
         span = (s - lo) * cfg.dt
         # scale partial windows up so early samples use the same threshold units
-        progress[s] = abs(psi[s] - psi[lo]) * (window_time / span) if span > 0 else np.inf
+        progress[s] = abs(psi[s] - psi[lo]) * (LOCK_WINDOW_TIME / span) if span > 0 else np.inf
 
     def classify(v, c=0.0):
-        if v < lock_rad:
+        if v < LOCK_RAD:
             return "lock"
-        if v > drift_rad:
+        if v > DRIFT_RAD:
             return "drift"
         return BOUNDARY
 

@@ -50,6 +50,8 @@ class Exp3Config:
             raise InvalidConfigError("washout >= 0 and train/test >= 10 required")
         if self.ridge < 0:
             raise InvalidConfigError("ridge must be >= 0")
+        if not all(p > 0 for p in self.periods):
+            raise InvalidConfigError("periods must be > 0 steps per cycle")
 
     @property
     def total_steps(self):

@@ -34,6 +34,8 @@ TUR_BOOTSTRAP = 200    # resamples behind tur_check's standard error
 TUR_MIN_SAMPLES = 100  # fewest currents tur_check accepts
 TRACE_GL_NODES = 16    # Gauss-Legendre nodes on each trace-bound path
 TRACE_EPS = 1e-6       # numerical floor of the trace-bound slack
+MI_Y_POINTS = 4001     # trapezoid nodes over y in mutual_information_quadrature
+MI_PAD = 8.0           # channel sigmas of y beyond the extreme atom means
 
 
 @dataclass
@@ -183,16 +185,16 @@ def logistic_mean_channel(level, slope, center, sigma, name="logistic-mean"):
     return SmoothScalarChannel(m, dm, sigma, name=name)
 
 
-def mutual_information_quadrature(channel, z_atoms, weights, y_points=4001, pad=8.0):
+def mutual_information_quadrature(channel, z_atoms, weights):
     """I(Z;Y) for an atomized input prior, by fine trapezoid quadrature over y.
 
     Returns (mi, per_atom_kl) where mi = sum_i w_i KL(p(.|z_i) || p_mix)."""
     z = np.asarray(z_atoms, dtype=float)
     w = np.asarray(weights, dtype=float)
     m = channel.mean_fn(z)
-    lo = float(m.min() - pad * channel.sigma)
-    hi = float(m.max() + pad * channel.sigma)
-    y = np.linspace(lo, hi, y_points)
+    lo = float(m.min() - MI_PAD * channel.sigma)
+    hi = float(m.max() + MI_PAD * channel.sigma)
+    y = np.linspace(lo, hi, MI_Y_POINTS)
     ll = channel.log_likelihood(y[None, :], z[:, None])  # (atoms, y)
     p = np.exp(ll)
     pmix = w @ p

@@ -1,26 +1,26 @@
-"""Reversible-dissipative systems: x' = J grad_h - lam R grad_xi + B u + noise.
+"""Reversible-dissipative systems: x' = J A x - lam R Q x + B u + noise.
 
-J is antisymmetric (structure-preserving rotation generated by a conserved
-quadratic), R symmetric positive-semidefinite (relaxation through a
-dissipation potential). v1 keeps J and R constant matrices and the scalar
-potentials quadratic; the per-step entropy export and its information-rate
-counterpart are accounted in FluxRecord entries.
+A system is its four matrices. J is antisymmetric (the reversible generator),
+R symmetric positive-semidefinite (the dissipative operator), and A and Q
+declare the two quadratic potentials H = x^T A x / 2, which the reversible
+flow conserves, and Xi = x^T Q x / 2, which the dissipation relaxes; their
+gradients are A x and Q x. The per-step entropy export and its
+information-rate counterpart are accounted in FluxRecord entries.
 
-A step of size dt with quadratic H (h_matrix A given) is split in the order
-of the rotor reservoir kernel (kernels.rotor_chunk): an Euler substep of the
-dissipative and input terms from the pre-step state, then the exact
-reversible propagator, then the noise increment,
+A step of size dt is split in the order of the rotor reservoir kernel
+(kernels.rotor_chunk): an Euler substep of the dissipative and input terms
+from the pre-step state, then the exact reversible propagator, then the noise
+increment,
 
-    x' = exp(J A dt) (x + dt (-lam R grad_xi(x) + B u)) + noise sqrt(dt) xi,
+    x' = exp(J A dt) (x + dt (-lam R Q x + B u)) + noise sqrt(dt) xi,
 
 then an optional renormalization to unit norm. exp1's reservoir is this law
-with J = block_rotation(omegas), R = I and B = bvec. Without h_matrix the
-whole drift is one Euler-Maruyama step. Noise is drawn from the caller's
-generator: `gen` in step(), `rng` in simulate().
+with J = block_rotation(omegas, dim), R = A = Q = I and B = bvec. Noise is
+drawn from the caller's generator: `gen` in step(), `rng` in simulate().
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -43,24 +43,25 @@ class FluxRecord:
 
 @dataclass
 class MetriplecticSystem:
-    dim: int
+    """H = x^T A x / 2 and Xi = x^T Q x / 2; J, R, A and Q are dim x dim."""
+
     J: np.ndarray
     R: np.ndarray
-    grad_h: Callable[[np.ndarray], np.ndarray]
-    grad_xi: Callable[[np.ndarray], np.ndarray]
+    A: np.ndarray
+    Q: np.ndarray
     lam: float = 0.0
     B: Optional[np.ndarray] = None
     noise: float = 0.0
     alpha: float = 1.0
-    h_matrix: Optional[np.ndarray] = None  # A with H = x^T A x / 2; enables the
-                                           # exact reversible propagator in step()
     name: str = ""
 
     def __post_init__(self):
-        self.J = np.asarray(self.J, dtype=float)
-        self.R = np.asarray(self.R, dtype=float)
-        if self.J.shape != (self.dim, self.dim) or self.R.shape != (self.dim, self.dim):
-            raise ValueError("J and R must be dim x dim")
+        self.J, self.R, self.A, self.Q = (np.asarray(M, dtype=float)
+                                          for M in (self.J, self.R, self.A, self.Q))
+        shape = self.J.shape
+        if len(shape) != 2 or shape[0] != shape[1] or any(
+                M.shape != shape for M in (self.R, self.A, self.Q)):
+            raise ValueError("J, R, A and Q must be square matrices of one size")
         if not np.array_equal(self.J, -self.J.T):
             # constructed antisymmetric: symmetrize exactly
             self.J = 0.5 * (self.J - self.J.T)
@@ -71,27 +72,25 @@ class MetriplecticSystem:
             raise ValueError(f"R must be positive semidefinite (min eig {eigs.min():.3g})")
         if self.lam < 0 or self.noise < 0 or self.alpha <= 0:
             raise ValueError("lam, noise must be >= 0 and alpha > 0")
-        if self.B is None:
-            self.B = np.zeros(self.dim)
-        self.B = np.asarray(self.B, dtype=float)
-        if self.h_matrix is not None:
-            self.h_matrix = np.asarray(self.h_matrix, dtype=float)
+        self.B = np.zeros(self.dim) if self.B is None else np.asarray(self.B, dtype=float)
         self._propagators = {}
 
-    def drift(self, x, u=0.0):
-        return self.J @ self.grad_h(x) - self.lam * (self.R @ self.grad_xi(x)) + self.B * u
+    @property
+    def dim(self):
+        return self.J.shape[0]
 
     def reversible_propagator(self, dt):
-        """exp(J A dt) for quadratic H; None when H was supplied as a bare callable."""
-        if self.h_matrix is None:
-            return None
+        """exp(J A dt), computed once per step size."""
         key = float(dt)
         if key not in self._propagators:
-            self._propagators[key] = _expm(self.J @ self.h_matrix * dt)
+            self._propagators[key] = _expm(self.J @ self.A * dt)
         return self._propagators[key]
 
 
-def _expm(M, order=13):
+_EXPM_ORDER = 13  # Taylor terms after scaling the norm below 1/4
+
+
+def _expm(M):
     """Dense matrix exponential by scaling-and-squaring with a Taylor kernel."""
     M = np.asarray(M, dtype=float)
     nrm = np.linalg.norm(M, np.inf)
@@ -99,7 +98,7 @@ def _expm(M, order=13):
     A = M / (2**s)
     out = np.eye(M.shape[0])
     term = np.eye(M.shape[0])
-    for k in range(1, order + 1):
+    for k in range(1, _EXPM_ORDER + 1):
         term = term @ A / k
         out = out + term
     for _ in range(s):
@@ -107,17 +106,12 @@ def _expm(M, order=13):
     return out
 
 
-def quadratic_gradient(A):
-    """Gradient of the quadratic form 0.5 x^T A x, i.e. x -> A x."""
-    A = np.asarray(A, dtype=float)
-    return lambda x: A @ x
-
-
 def block_rotation(omegas, dim):
     """Antisymmetric block-diagonal generator: one 2x2 rotation per frequency.
 
     Blocks occupy the leading 2*len(omegas) coordinates; trailing coordinates
-    are untouched by the reversible flow.
+    are untouched by the reversible flow. Every rotation block in the package
+    is built here, so the sign convention below is fixed in one place.
     """
     omegas = np.asarray(omegas, dtype=float)
     if 2 * len(omegas) > dim:
@@ -139,7 +133,7 @@ class DegeneracyReport:
 
 
 def check_degeneracy(sys: MetriplecticSystem, samples: int, tol: float, rng: SeededRng) -> DegeneracyReport:
-    """Audit ||J grad_xi(x)|| and ||R grad_h(x)|| at random unit-sphere points."""
+    """Audit ||J Q x|| and ||R A x|| at random unit-sphere points."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     gen = rng.generator()
@@ -148,15 +142,14 @@ def check_degeneracy(sys: MetriplecticSystem, samples: int, tol: float, rng: See
     for _ in range(samples):
         x = gen.standard_normal(sys.dim)
         x /= np.linalg.norm(x)
-        max_j = max(max_j, float(np.linalg.norm(sys.J @ sys.grad_xi(x))))
-        max_r = max(max_r, float(np.linalg.norm(sys.R @ sys.grad_h(x))))
+        max_j = max(max_j, float(np.linalg.norm(sys.J @ (sys.Q @ x))))
+        max_r = max(max_r, float(np.linalg.norm(sys.R @ (sys.A @ x))))
     return DegeneracyReport(max_j, max_r, samples, tol, max_j < tol and max_r < tol)
 
 
 def entropy_production_rate(sys: MetriplecticSystem, x) -> float:
-    """Instantaneous entropy export: <grad_xi, lam R grad_xi> >= 0."""
-    x = np.asarray(x, dtype=float)
-    g = sys.grad_xi(x)
+    """Instantaneous entropy export: <Q x, lam R Q x> >= 0."""
+    g = sys.Q @ np.asarray(x, dtype=float)
     val = float(sys.lam * (g @ (sys.R @ g)))
     return max(val, 0.0)
 
@@ -173,11 +166,7 @@ def step(sys: MetriplecticSystem, x, u, dt, renormalize=False, t=0.0,
     x = np.asarray(x, dtype=float)
     rate = entropy_production_rate(sys, x)
     flux = FluxRecord(time=t, entropy_production_rate=rate, irr_info_rate=rate / sys.alpha)
-    prop = sys.reversible_propagator(dt)
-    if prop is not None:
-        xn = prop @ (x + dt * (-sys.lam * (sys.R @ sys.grad_xi(x)) + sys.B * u))
-    else:
-        xn = x + dt * sys.drift(x, u)
+    xn = sys.reversible_propagator(dt) @ (x + dt * (-sys.lam * (sys.R @ (sys.Q @ x)) + sys.B * u))
     if sys.noise > 0:
         xn = xn + sys.noise * np.sqrt(dt) * gen.standard_normal(sys.dim)
     if not np.all(np.isfinite(xn)):
@@ -216,57 +205,29 @@ def simulate(sys: MetriplecticSystem, x0, inputs, dt, rng: Optional[SeededRng] =
 
 def harmonic_preset(omega=1.0):
     """Pure reversible planar rotation; zero dissipative sector."""
-    J = np.array([[0.0, -omega], [omega, 0.0]])
-    return MetriplecticSystem(
-        dim=2, J=J, R=np.zeros((2, 2)),
-        grad_h=quadratic_gradient(np.eye(2)),
-        grad_xi=lambda x: np.zeros(2),
-        h_matrix=np.eye(2),
-        name="harmonic",
-    )
+    zero = np.zeros((2, 2))
+    return MetriplecticSystem(J=block_rotation([omega], 2), R=zero, A=np.eye(2), Q=zero,
+                              name="harmonic")
 
 
 def block_disjoint_preset(n_rev=2, n_diss=2, omega=1.0, lam=1.0):
-    """Rotation on block A, relaxation on disjoint block B; degeneracy holds
-    identically because each operator annihilates the other potential's
-    gradient."""
+    """Rotation on the leading n_rev coordinates, relaxation on the disjoint
+    trailing n_diss; degeneracy holds identically because each operator
+    annihilates the other potential's gradient."""
     dim = n_rev + n_diss
-    J = np.zeros((dim, dim))
-    for k in range(n_rev // 2):
-        J[2 * k, 2 * k + 1] = -omega
-        J[2 * k + 1, 2 * k] = omega
-    R = np.zeros((dim, dim))
-    R[n_rev:, n_rev:] = np.eye(n_diss)
-    PA = np.zeros((dim, dim))
-    PA[:n_rev, :n_rev] = np.eye(n_rev)
-    PB = np.zeros((dim, dim))
-    PB[n_rev:, n_rev:] = np.eye(n_diss)
-    return MetriplecticSystem(
-        dim=dim, J=J, R=R,
-        grad_h=quadratic_gradient(PA),
-        grad_xi=quadratic_gradient(PB),
-        lam=lam,
-        h_matrix=PA,
-        name="block-disjoint",
-    )
+    PA = np.diag((np.arange(dim) < n_rev).astype(float))
+    PB = np.eye(dim) - PA
+    return MetriplecticSystem(J=block_rotation([omega] * (n_rev // 2), dim), R=PB, A=PA, Q=PB,
+                              lam=lam, name="block-disjoint")
 
 
-def isotropic_decay_preset(dim=2, lam=1.0, omega=0.0, noise=0.0):
-    """Isotropic relaxation (R = I, radial dissipation potential), optional
-    rotation on the leading pair. Entropy rate is lam * ||x||^2, so a
-    unit-renormalized state exports exactly lam per unit time."""
-    J = np.zeros((dim, dim))
-    if omega != 0.0:
-        J[0, 1] = -omega
-        J[1, 0] = omega
-    return MetriplecticSystem(
-        dim=dim, J=J, R=np.eye(dim),
-        grad_h=quadratic_gradient(np.eye(dim)),
-        grad_xi=quadratic_gradient(np.eye(dim)),
-        lam=lam, noise=noise,
-        h_matrix=np.eye(dim),
-        name="isotropic-decay",
-    )
+def isotropic_decay_preset(dim=2, lam=1.0, noise=0.0):
+    """Isotropic relaxation (R = A = Q = I) with no rotation. Entropy rate is
+    lam * ||x||^2, so a unit-renormalized state exports exactly lam per unit
+    time."""
+    eye = np.eye(dim)
+    return MetriplecticSystem(J=block_rotation((), dim), R=eye, A=eye, Q=eye, lam=lam,
+                              noise=noise, name="isotropic-decay")
 
 
 PRESETS = {

@@ -139,7 +139,7 @@ def ridge_fit(features, targets, regularizer) -> np.ndarray:
     return w
 
 
-def spectral_radius(W, tol=1e-4, cap=POWER_ITERATION_CAP) -> float:
+def spectral_radius(W, tol=1e-4) -> float:
     """Spectral radius by direct power iteration with periodic normalization.
 
     The estimate is the running mean of log growth factors past a short
@@ -153,9 +153,9 @@ def spectral_radius(W, tol=1e-4, cap=POWER_ITERATION_CAP) -> float:
     x = gen.standard_normal(n)
     x /= np.linalg.norm(x)
     check_every = 32
-    logs = np.empty(cap)
+    logs = np.empty(POWER_ITERATION_CAP)
     prev_est = None
-    for it in range(cap):
+    for it in range(POWER_ITERATION_CAP):
         y = W @ x
         ny = np.linalg.norm(y)
         if ny < 1e-300:
@@ -169,7 +169,7 @@ def spectral_radius(W, tol=1e-4, cap=POWER_ITERATION_CAP) -> float:
             if prev_est is not None and abs(est - prev_est) < tol * max(est, 1e-30):
                 return est
             prev_est = est
-    raise NoConvergenceError(f"power iteration did not converge in {cap} iterations")
+    raise NoConvergenceError(f"power iteration did not converge in {POWER_ITERATION_CAP} iterations")
 
 
 def rescale_spectral_radius(W, target, tol=1e-3) -> np.ndarray:

@@ -242,12 +242,25 @@ class TestCLI:
         ("erasure", "[erasure]\nT_protocol = 0\n", False, 2, "config-error"),
         ("exp1", "[exp1]\ndim = 0\nrot_pairs = 0\n", False, 2, "config-error"),
         ("exp3", "[exp3]\nn_reservoir = 0\n", False, 2, "config-error"),
+        ("exp1", "[exp1]\ndt = 0\n", False, 2, "config-error"),
+        ("exp1", "[exp1]\ndt = -0.1\n", False, 2, "config-error"),
+        ("exp1", "[exp1]\nalpha = 0\n", False, 2, "config-error"),
+        ("exp2", "[exp2]\ndt = 0\n", False, 2, "config-error"),
+        ("exp2", "[exp2]\nhorizon = 0\n", False, 2, "config-error"),
+        ("exp2", "[exp2]\nalpha = 0\n", False, 2, "config-error"),
+        ("exp3", "[exp3]\nperiods = [0]\n", False, 2, "config-error"),
+        ("checks", "[checks]\nnear_eq_ratio = -1\n", False, 2, "config-error"),
+        ("checks", "[checks]\nclassical_T = 0\n", False, 2, "config-error"),
+        ("bitflip", "[bitflip]\nD = 0\n", False, 2, "config-error"),
+        ("erasure", "[erasure]\nD = 0\n", False, 2, "config-error"),
     ], ids=["tur_walkers", "classical_trials", "erasure_trials", "bitflip_trials",
             "pulse_amplitude", "out_is_file", "exp1_ridge", "exp3_ridge", "exp4_stride",
             "exp4_patch", "exp4_bins", "exp4_frame_every", "exp4_patch_exceeds_lattice",
             "monitor_chi_range", "monitor_P_max", "bitflip_dt", "bitflip_snapshots",
             "bitflip_hist_bins", "bitflip_durations", "erasure_T_protocol", "exp1_dim",
-            "exp3_n_reservoir"])
+            "exp3_n_reservoir", "exp1_dt", "exp1_dt_negative", "exp1_alpha", "exp2_dt",
+            "exp2_horizon", "exp2_alpha", "exp3_periods", "checks_near_eq_ratio",
+            "checks_classical_T", "bitflip_D", "erasure_D"])
     def test_exit_code_table(self, tmp_path, capsys, subcommand, config, out_is_file, code, error):
         # each failure ends in its documented code with one JSON line on
         # stderr; an exception escaping main fails the test

@@ -76,9 +76,8 @@ class TestScalarMeasures:
             J[0, 2], J[2, 0] = coupling, -coupling
             lam = 0.05
             sys = MetriplecticSystem(
-                dim=4, J=J, R=np.eye(4),
-                grad_h=lambda x: x, grad_xi=lambda x: x, lam=lam,
-                B=np.array([1.0, 0.0, 1.0, 0.0]), h_matrix=np.eye(4))
+                J=J, R=np.eye(4), A=np.eye(4), Q=np.eye(4), lam=lam,
+                B=np.array([1.0, 0.0, 1.0, 0.0]))
             gen = SeededRng(77).generator()
             u = gen.standard_normal(1500)
             traj, _ = simulate(sys, [0.5, 0, 0.5, 0], u, dt=0.05, renormalize=True)

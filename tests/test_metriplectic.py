@@ -13,7 +13,6 @@ from metrilab.metriplectic import (
     harmonic_preset,
     isotropic_decay_preset,
     make_preset,
-    quadratic_gradient,
     simulate,
     step,
 )
@@ -25,11 +24,14 @@ class TestConstruction:
         sys = harmonic_preset()
         assert np.array_equal(sys.J, -sys.J.T)
 
-    def test_indefinite_r_rejected(self):
-        with pytest.raises(ValueError):
-            MetriplecticSystem(dim=2, J=np.zeros((2, 2)), R=np.diag([1.0, -1.0]),
-                               grad_h=quadratic_gradient(np.eye(2)),
-                               grad_xi=quadratic_gradient(np.eye(2)))
+    @pytest.mark.parametrize("R,A,Q,match", [
+        (np.diag([1.0, -1.0]), np.eye(2), np.eye(2), "positive semidefinite"),
+        (np.eye(2), np.eye(3), np.eye(2), "one size"),
+        (np.eye(2), np.eye(2), np.ones(2), "one size"),
+    ], ids=["indefinite_R", "A_shape", "Q_shape"])
+    def test_indefinite_r_rejected(self, R, A, Q, match):
+        with pytest.raises(ValueError, match=match):
+            MetriplecticSystem(J=np.zeros((2, 2)), R=R, A=A, Q=Q)
 
 
 class TestDegeneracy:
@@ -38,17 +40,16 @@ class TestDegeneracy:
         assert rep.passed and rep.max_j_residual == 0.0 and rep.max_r_residual == 0.0
 
     def test_block_disjoint_passes(self):
-        # constructed so J annihilates grad_xi and R annihilates grad_h identically
+        # constructed so J annihilates Q x and R annihilates A x identically
         rep = check_degeneracy(block_disjoint_preset(), samples=64, tol=1e-12, rng=SeededRng(1))
         assert rep.passed
 
     def test_overlapping_sectors_fail_with_state_size_residual(self):
         omega = 1.0
-        sys = MetriplecticSystem(dim=2, J=block_rotation([omega], 2), R=np.zeros((2, 2)),
-                                 grad_h=quadratic_gradient(np.eye(2)),
-                                 grad_xi=quadratic_gradient(np.eye(2)))
+        sys = MetriplecticSystem(J=block_rotation([omega], 2), R=np.zeros((2, 2)),
+                                 A=np.eye(2), Q=np.eye(2))
         rep = check_degeneracy(sys, samples=64, tol=1e-6, rng=SeededRng(2))
-        # ||J grad_xi(x)|| = omega ||x|| = 1 on the unit sphere
+        # ||J Q x|| = omega ||x|| = 1 on the unit sphere
         assert not rep.passed
         assert abs(rep.max_j_residual - 1.0) < 1e-12
 
@@ -68,9 +69,8 @@ class TestEntropyRate:
         assert entropy_production_rate(sys, x) == pytest.approx(lam, abs=1e-14)
 
     def test_diagonal_quadratic_hand_value(self):
-        sys = MetriplecticSystem(dim=2, J=np.zeros((2, 2)), R=np.diag([1.0, 2.0]),
-                                 grad_h=lambda x: np.zeros(2),
-                                 grad_xi=quadratic_gradient(np.eye(2)), lam=1.0)
+        sys = MetriplecticSystem(J=np.zeros((2, 2)), R=np.diag([1.0, 2.0]),
+                                 A=np.zeros((2, 2)), Q=np.eye(2), lam=1.0)
         assert entropy_production_rate(sys, np.array([1.0, 1.0])) == pytest.approx(3.0)
 
 
@@ -168,10 +168,8 @@ class TestRotorKernelIsTheLaw:
                                    lam, bvec, u, noise, cfg.dt, states)
 
         eye = np.eye(cfg.dim)
-        sys = MetriplecticSystem(dim=cfg.dim, J=block_rotation(omegas, cfg.dim), R=eye,
-                                 grad_h=quadratic_gradient(eye), grad_xi=quadratic_gradient(eye),
-                                 lam=lam, B=bvec, noise=cfg.state_noise, alpha=cfg.alpha,
-                                 h_matrix=eye)
+        sys = MetriplecticSystem(J=block_rotation(omegas, cfg.dim), R=eye, A=eye, Q=eye,
+                                 lam=lam, B=bvec, noise=cfg.state_noise, alpha=cfg.alpha)
         traj, fluxes = simulate(sys, x0, u, cfg.dt, rng=base.derive(3), renormalize=True)
         assert np.max(np.abs(traj.states[1:] - states)) < 1e-12
         # exp1's I_irr_rate column is lam / alpha: every step exports exactly lam
