@@ -63,14 +63,21 @@ def make_input(cfg: Exp1Config, rng: SeededRng):
 
 
 def lagged_r2(states, u, k_lags, ridge, n_skip):
-    """Per-lag squared correlation of ridge readouts, clamped to [0, 1]."""
+    """Per-lag squared correlation of ridge readouts, clamped to [0, 1].
+
+    Every lag is read out from the same training states, so one ridge_fit
+    call factors their Gram matrix once for all k_lags targets.
+    """
     idx = np.arange(n_skip, len(u))
     half = len(idx) // 2
     train, test = idx[:half], idx[half:]
+    lags = np.arange(1, k_lags + 1)
+    # column k - 1 holds u[train - k], contiguous as a 1-D target would be
+    w = ridge_fit(states[train], u[train[None, :] - lags[:, None]].T, ridge)
+    X_test = states[test]
     r2 = np.zeros(k_lags)
-    for k in range(1, k_lags + 1):
-        w = ridge_fit(states[train], u[train - k], ridge)
-        pred = states[test] @ w
+    for k in lags:
+        pred = X_test @ w[:, k - 1]
         target = u[test - k]
         sp, st = pred.std(), target.std()
         if sp < 1e-300 or st < 1e-300:

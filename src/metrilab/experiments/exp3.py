@@ -52,6 +52,8 @@ class Exp3Config:
             raise InvalidConfigError("ridge must be >= 0")
         if not all(p > 0 for p in self.periods):
             raise InvalidConfigError("periods must be > 0 steps per cycle")
+        if len(self.amps) != len(self.periods):
+            raise InvalidConfigError("amps and periods must have the same length")
 
     @property
     def total_steps(self):

@@ -146,13 +146,32 @@ def _jaccard(a, b):
     return len(a & b) / union if union else 1.0
 
 
-def _frame_fields(cfg, H_prev, H_now, flows):
+def _frame_fields(cfg, H_prev, H_now, flux):
     drop = np.maximum(H_prev - H_now, 0.0)
-    flux = patch_outward_flux(flows, cfg.patch, cfg.stride).astype(float)
-    S = flux / (drop + cfg.eps)
+    S = flux.astype(float) / (drop + cfg.eps)
     gx, gy = np.gradient(H_now)
     grad_mag = np.hypot(gx, gy)
     return S, grad_mag
+
+
+def _occupied(A, axis):
+    """[first, last + 1) of the indices along `axis` whose line holds a nonzero cell."""
+    idx = np.flatnonzero(A.any(axis=1 - axis))
+    return int(idx[0]), int(idx[-1]) + 1
+
+
+def _grown(span, n):
+    """`span` widened by a one-cell margin, clamped to [0, n)."""
+    return max(span[0] - 1, 0), min(span[1] + 1, n)
+
+
+def _patch_window(span, patch, stride, n):
+    """Patch indices of the patches that meet cells `span`, and the cells they
+    cover. Never empty: a span past the last patch keeps that patch, whose
+    entropy and flux are then those of an empty patch."""
+    p1 = min(n, (span[1] - 1) // stride + 1)
+    p0 = min(max(0, -((patch - 1 - span[0]) // stride)), p1 - 1)
+    return slice(p0, p1), slice(p0 * stride, (p1 - 1) * stride + patch)
 
 
 def run_exp4(cfg: Exp4Config, seed: int, field_sink=None) -> ExperimentResult:
@@ -170,26 +189,49 @@ def run_exp4(cfg: Exp4Config, seed: int, field_sink=None) -> ExperimentResult:
                                  (cfg.width - cfg.patch) // cfg.stride + 1]},
     )
 
+    hp, wp = result.metadata["patch_grid"]
+
     def entropy(arr):
         return patch_entropy(arr, cfg.patch, cfg.stride, cfg.bins, emax)
 
+    def patch_map(window, values):
+        out = np.zeros((hp, wp), dtype=values.dtype)
+        out[window] = values
+        return out
+
+    # Each step runs on the active window: the bounding box of the nonzero
+    # cells plus a one-cell margin holds every cell the step can change, and
+    # outside it E stays zero and no quanta flow. On diagnose steps the window
+    # also covers the patches that meet it; every other patch is empty, with
+    # entropy 0 and outward flux 0.
     # frame t reads the step (t-1 -> t): entropy maps at both ends plus that
     # step's flow field; step t = 1 seeds the persistence reference set
+    H, W = E.shape
+    rows, cols = _occupied(E, 0), _occupied(E, 1)
     prev_top = None
-    E_prev = E
     for t in range(1, cfg.steps + 1):
         is_frame = t % cfg.frame_every == 0
         diagnose = is_frame or t == 1
+        rows, cols = _grown(rows, H), _grown(cols, W)
         if diagnose:
-            H_before = entropy(E_prev)
-        E, flows = ca_step(E_prev, cfg.K)
+            pi, ri = _patch_window(rows, cfg.patch, cfg.stride, hp)
+            pj, rj = _patch_window(cols, cfg.patch, cfg.stride, wp)
+            rows = (min(rows[0], ri.start), max(rows[1], ri.stop))
+            cols = (min(cols[0], rj.start), max(cols[1], rj.stop))
+            H_before = patch_map((pi, pj), entropy(E[ri, rj]))
+        window = (slice(*rows), slice(*cols))
+        E_window, flows = ca_step(E[window], cfg.K)
+        E[window] = E_window
         if int(E.sum()) != total0:
             raise InternalLogicError("energy conservation broken")
         if np.any(_border_ring(E) != 0):
             raise BorderContactError(f"energy reached the lattice border at step {t}")
         if diagnose:
-            H_after = entropy(E)
-            S, grad_mag = _frame_fields(cfg, H_before, H_after, flows)
+            H_after = patch_map((pi, pj), entropy(E[ri, rj]))
+            inner = flows[:, ri.start - rows[0] : ri.stop - rows[0],
+                          rj.start - cols[0] : rj.stop - cols[0]]
+            flux = patch_map((pi, pj), patch_outward_flux(inner, cfg.patch, cfg.stride))
+            S, grad_mag = _frame_fields(cfg, H_before, H_after, flux)
             top = _top_set(S, cfg.top_frac)
             if is_frame:
                 result.add_row(
@@ -201,7 +243,8 @@ def run_exp4(cfg: Exp4Config, seed: int, field_sink=None) -> ExperimentResult:
                     total_energy=int(E.sum()),
                 )
                 if cfg.save_fields and field_sink is not None:
-                    field_sink(t, E)
+                    field_sink(t, E.copy())
             prev_top = top
-        E_prev = E
+        rows = tuple(rows[0] + i for i in _occupied(E_window, 0))
+        cols = tuple(cols[0] + j for j in _occupied(E_window, 1))
     return result

@@ -41,9 +41,14 @@ class FluxRecord:
             raise ValueError("entropy production rate must be nonnegative")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MetriplecticSystem:
-    """H = x^T A x / 2 and Xi = x^T Q x / 2; J, R, A and Q are dim x dim."""
+    """H = x^T A x / 2 and Xi = x^T Q x / 2; J, R, A and Q are dim x dim.
+
+    Frozen: the fields cannot be reassigned and the arrays are read-only
+    copies, so the per-dt propagator cache always matches J and A. Build a
+    changed system with dataclasses.replace.
+    """
 
     J: np.ndarray
     R: np.ndarray
@@ -56,24 +61,27 @@ class MetriplecticSystem:
     name: str = ""
 
     def __post_init__(self):
-        self.J, self.R, self.A, self.Q = (np.asarray(M, dtype=float)
-                                          for M in (self.J, self.R, self.A, self.Q))
-        shape = self.J.shape
+        J, R, A, Q = (np.asarray(M, dtype=float) for M in (self.J, self.R, self.A, self.Q))
+        shape = J.shape
         if len(shape) != 2 or shape[0] != shape[1] or any(
-                M.shape != shape for M in (self.R, self.A, self.Q)):
+                M.shape != shape for M in (R, A, Q)):
             raise ValueError("J, R, A and Q must be square matrices of one size")
-        if not np.array_equal(self.J, -self.J.T):
+        if not np.array_equal(J, -J.T):
             # constructed antisymmetric: symmetrize exactly
-            self.J = 0.5 * (self.J - self.J.T)
-        if not np.allclose(self.R, self.R.T, atol=1e-12):
+            J = 0.5 * (J - J.T)
+        if not np.allclose(R, R.T, atol=1e-12):
             raise ValueError("R must be symmetric")
-        eigs = np.linalg.eigvalsh(0.5 * (self.R + self.R.T))
+        eigs = np.linalg.eigvalsh(0.5 * (R + R.T))
         if eigs.min() < -1e-10:
             raise ValueError(f"R must be positive semidefinite (min eig {eigs.min():.3g})")
         if self.lam < 0 or self.noise < 0 or self.alpha <= 0:
             raise ValueError("lam, noise must be >= 0 and alpha > 0")
-        self.B = np.zeros(self.dim) if self.B is None else np.asarray(self.B, dtype=float)
-        self._propagators = {}
+        B = np.zeros(shape[0]) if self.B is None else self.B
+        for name, M in (("J", J), ("R", R), ("A", A), ("Q", Q), ("B", B)):
+            M = np.array(M, dtype=float)
+            M.flags.writeable = False
+            object.__setattr__(self, name, M)
+        object.__setattr__(self, "_propagators", {})
 
     @property
     def dim(self):

@@ -121,7 +121,10 @@ def ridge_fit(features, targets, regularizer) -> np.ndarray:
     """Minimize ||X w - y||^2 + regularizer * ||w||^2 via normal equations.
 
     Solved with a Cholesky factorization of (X^T X + reg I); a singular system
-    at regularizer = 0 raises SingularMatrixError.
+    at regularizer = 0 raises SingularMatrixError. `targets` of shape (T, k)
+    share that one factorization and give a (n, k) result, each column
+    computed by exactly the operations of a call with that column alone (one
+    multi-column solve would differ from them in the low bits).
     """
     X = np.asarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -130,13 +133,19 @@ def ridge_fit(features, targets, regularizer) -> np.ndarray:
     if regularizer < 0:
         raise ValueError("regularizer must be nonnegative")
     A = X.T @ X + regularizer * np.eye(X.shape[1])
-    b = X.T @ y
     try:
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"normal equations not positive definite: {exc}") from exc
-    w = np.linalg.solve(L.T, np.linalg.solve(L, b))
-    return w
+
+    def solve(col):
+        return np.linalg.solve(L.T, np.linalg.solve(L, X.T @ col))
+
+    if y.ndim == 1:
+        return solve(y)
+    # one row per column, transposed: each column of the result is laid out
+    # contiguously, as a 1-D solution is
+    return np.array([solve(np.ascontiguousarray(col)) for col in y.T]).T
 
 
 def spectral_radius(W, tol=1e-4) -> float:

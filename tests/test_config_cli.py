@@ -253,6 +253,7 @@ class TestCLI:
         ("checks", "[checks]\nclassical_T = 0\n", False, 2, "config-error"),
         ("bitflip", "[bitflip]\nD = 0\n", False, 2, "config-error"),
         ("erasure", "[erasure]\nD = 0\n", False, 2, "config-error"),
+        ("exp3", "[exp3]\namps = [1.0]\n", False, 2, "config-error"),
     ], ids=["tur_walkers", "classical_trials", "erasure_trials", "bitflip_trials",
             "pulse_amplitude", "out_is_file", "exp1_ridge", "exp3_ridge", "exp4_stride",
             "exp4_patch", "exp4_bins", "exp4_frame_every", "exp4_patch_exceeds_lattice",
@@ -260,7 +261,7 @@ class TestCLI:
             "bitflip_hist_bins", "bitflip_durations", "erasure_T_protocol", "exp1_dim",
             "exp3_n_reservoir", "exp1_dt", "exp1_dt_negative", "exp1_alpha", "exp2_dt",
             "exp2_horizon", "exp2_alpha", "exp3_periods", "checks_near_eq_ratio",
-            "checks_classical_T", "bitflip_D", "erasure_D"])
+            "checks_classical_T", "bitflip_D", "erasure_D", "exp3_amps_periods"])
     def test_exit_code_table(self, tmp_path, capsys, subcommand, config, out_is_file, code, error):
         # each failure ends in its documented code with one JSON line on
         # stderr; an exception escaping main fails the test

@@ -14,9 +14,13 @@ from metrilab.experiments import (
     run_exp3,
     run_exp4,
 )
+from metrilab import kernels
+from metrilab.experiments import exp4
+from metrilab.experiments.base import ExperimentResult
+from metrilab.experiments.exp1 import lagged_r2, make_input
 from metrilab.experiments.exp2 import lock_path_length
 from metrilab.experiments.exp4 import patch_outward_flux
-from metrilab.numerics import SeededRng
+from metrilab.numerics import SeededRng, ridge_fit
 
 # compact configurations keep the unit tests quick; the acceptance module
 # runs the full defaults
@@ -60,6 +64,31 @@ class TestExp1:
     def test_requires_positive_lambda_floor(self):
         with pytest.raises(InvalidConfigError):
             Exp1Config(lambda_grid=(0.0, 1.0))
+
+    @pytest.mark.parametrize("lam", [1e-3, 0.0774, 10.0])
+    def test_lagged_r2_equals_per_lag_ridge_fits(self, lam):
+        # one factorization for all lags must give exactly the r^2 of one
+        # ridge_fit per lag, on exp1's default-size states
+        cfg = Exp1Config()
+        base = SeededRng(0)
+        omegas = base.derive(0).generator().uniform(cfg.freq_low, cfg.freq_high, cfg.rot_pairs)
+        bvec = base.derive(1).generator().standard_normal(cfg.dim)
+        bvec /= np.linalg.norm(bvec)
+        u = make_input(cfg, base.derive(2))
+        noise = 0.01 * base.derive(3).generator().standard_normal((cfg.steps, cfg.dim))
+        x0 = bvec.copy()
+        states = np.empty((cfg.steps, cfg.dim))
+        kernels.rotor_chunk(x0, omegas, lam, bvec, u, noise, cfg.dt, states)
+
+        n_skip = 2 * cfg.k_lags
+        idx = np.arange(n_skip, len(u))
+        train, test = idx[: len(idx) // 2], idx[len(idx) // 2 :]
+        expected = np.zeros(cfg.k_lags)
+        for k in range(1, cfg.k_lags + 1):
+            pred = states[test] @ ridge_fit(states[train], u[train - k], cfg.ridge)
+            c = float(np.corrcoef(pred, u[test - k])[0, 1])
+            expected[k - 1] = min(max(c * c, 0.0), 1.0)
+        assert np.array_equal(lagged_r2(states, u, cfg.k_lags, cfg.ridge, n_skip), expected)
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +156,54 @@ class TestCAStep:
             ca_step(np.zeros((3, 3), dtype=np.int64), 0)
 
 
+def _run_exp4_full_lattice(cfg, seed, field_sink=None):
+    # run_exp4 as it was before the active window: every step and every
+    # diagnosis covers the whole lattice
+    E = initial_blob(cfg, SeededRng(seed))
+    total0 = int(E.sum())
+    emax = int(E.max())
+    result = ExperimentResult(
+        name="exp4",
+        columns=["t", "mean_S", "grad_corr", "jaccard", "neighbor_corr", "total_energy"],
+        metadata={"seed": seed, "config": cfg.__dict__.copy(), "total_energy": total0,
+                  "patch_grid": [(cfg.height - cfg.patch) // cfg.stride + 1,
+                                 (cfg.width - cfg.patch) // cfg.stride + 1]},
+    )
+
+    def entropy(arr):
+        return kernels.patch_entropy(arr, cfg.patch, cfg.stride, cfg.bins, emax)
+
+    prev_top = None
+    E_prev = E
+    for t in range(1, cfg.steps + 1):
+        is_frame = t % cfg.frame_every == 0
+        diagnose = is_frame or t == 1
+        if diagnose:
+            H_before = entropy(E_prev)
+        E, flows = ca_step(E_prev, cfg.K)
+        assert int(E.sum()) == total0
+        if np.any(exp4._border_ring(E) != 0):
+            raise BorderContactError(f"energy reached the lattice border at step {t}")
+        if diagnose:
+            flux = patch_outward_flux(flows, cfg.patch, cfg.stride)
+            S, grad_mag = exp4._frame_fields(cfg, H_before, entropy(E), flux)
+            top = exp4._top_set(S, cfg.top_frac)
+            if is_frame:
+                result.add_row(
+                    t=t,
+                    mean_S=float(S.mean()),
+                    grad_corr=exp4._pearson(S, grad_mag),
+                    jaccard=exp4._jaccard(top, prev_top) if prev_top is not None else 1.0,
+                    neighbor_corr=exp4._neighbor_corr(S),
+                    total_energy=int(E.sum()),
+                )
+                if cfg.save_fields and field_sink is not None:
+                    field_sink(t, E)
+            prev_top = top
+        E_prev = E
+    return result
+
+
 @pytest.fixture(scope="module")
 def exp4_result():
     return run_exp4(FAST4, seed=0)
@@ -168,6 +245,37 @@ class TestExp4:
         out = patch_outward_flux(flows, patch=4, stride=4)
         assert out[0, 0] == 5
         assert out[0, 1] == 0
+
+    @pytest.mark.parametrize("cfg,seed", [
+        # the stored-reference config: at K = 4 cells are capped
+        (Exp4Config(height=96, width=96, steps=40, radius=14.0, peak=150, K=4), 3),
+        # (H - patch) % stride = 3 on both axes: the last three rows and
+        # columns lie in no patch, and energy reaches column 41 of them
+        (Exp4Config(height=44, width=44, steps=60, radius=9.0, eccentricity=1.0, peak=150,
+                     K=4, patch=5, stride=4, frame_every=5), 0),
+        (Exp4Config(height=64, width=66, steps=40, radius=9.0, peak=120, patch=5,
+                     stride=5, bins=16), 1),
+        (Exp4Config(height=64, width=64, steps=40, radius=9.0, peak=120, save_fields=True), 2),
+    ], ids=["golden_K4", "ragged_patch_grid", "stride_eq_patch", "save_fields"])
+    def test_active_window_equals_full_lattice(self, cfg, seed):
+        frames, ref_frames = [], []
+        got = run_exp4(cfg, seed, field_sink=lambda t, E: frames.append((t, E)))
+        ref = _run_exp4_full_lattice(cfg, seed, lambda t, E: ref_frames.append((t, E)))
+        assert got.to_csv_text() == ref.to_csv_text()
+        assert got.metadata == ref.metadata
+        assert len(frames) == len(ref_frames) == (len(got.rows) if cfg.save_fields else 0)
+        for (t, E), (t_ref, E_ref) in zip(frames, ref_frames):
+            assert t == t_ref and E.shape == (cfg.height, cfg.width)
+            assert np.array_equal(E, E_ref)
+
+    def test_active_window_border_contact_at_same_step(self):
+        cfg = Exp4Config(height=64, width=64, steps=300, radius=12.0, peak=400, K=4)
+        with pytest.raises(BorderContactError) as ref:
+            _run_exp4_full_lattice(cfg, 0)
+        with pytest.raises(BorderContactError) as got:
+            run_exp4(cfg, 0)
+        assert str(got.value) == str(ref.value)
+        assert not str(ref.value).endswith("step 1")
 
     def test_initial_blob_is_clear_of_border(self):
         E = initial_blob(FAST4, SeededRng(1))

@@ -51,6 +51,35 @@ def test_patch_entropy_paths_agree():
         assert np.allclose(a, b, atol=1e-12)
 
 
+def _patch_entropy_direct(E, w, stride, nbins, emax):
+    # patch_entropy before its lookup table: -p log p evaluated per bin
+    H, W = E.shape
+    hp = (H - w) // stride + 1
+    wp = (W - w) // stride + 1
+    bi = np.minimum(E * nbins // (emax + 1), nbins - 1)
+    win = np.lib.stride_tricks.sliding_window_view(bi, (w, w))[::stride, ::stride]
+    flat = win.reshape(hp * wp, w * w)
+    ids = np.arange(hp * wp, dtype=np.int64)[:, None] * nbins + flat
+    counts = np.bincount(ids.ravel(), minlength=hp * wp * nbins).reshape(hp * wp, nbins)
+    p = counts / float(w * w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0, -p * np.log(p), 0.0)
+    return terms.sum(axis=1).reshape(hp, wp)
+
+
+def test_patch_entropy_lookup_equals_direct_formula():
+    # the lookup table holds the same terms, summed in the same order
+    gen = np.random.default_rng(2)
+    exp4_slice = gen.integers(0, 300, size=(64, 64)).astype(np.int64)
+    blob = blob_slice()
+    cases = [(exp4_slice, 8, 4, 128, 300), (blob, 8, 4, 128, 300),
+             (exp4_slice, 5, 2, 128, 300), (blob, 5, 2, 16, 300)]
+    for E, w, stride, nbins, emax in cases:
+        a = K.patch_entropy(E, w, stride, nbins, emax)
+        assert np.array_equal(a, _patch_entropy_direct(E, w, stride, nbins, emax))
+        assert np.allclose(a, K._patch_entropy_loops(E, w, stride, nbins, emax), atol=1e-12)
+
+
 def test_patch_entropy_uniform_patch_is_zero():
     E = np.full((16, 16), 7, dtype=np.int64)
     h = K.patch_entropy(E, 8, 4, 128, 10)

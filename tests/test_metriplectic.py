@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -32,6 +33,24 @@ class TestConstruction:
     def test_indefinite_r_rejected(self, R, A, Q, match):
         with pytest.raises(ValueError, match=match):
             MetriplecticSystem(J=np.zeros((2, 2)), R=R, A=A, Q=Q)
+
+    def test_frozen_after_construction(self):
+        # a built system cannot change under its cached propagator: fields
+        # cannot be reassigned and the stored matrices are read-only copies
+        A = np.eye(2)
+        sys = MetriplecticSystem(J=block_rotation([1.0], 2), R=np.eye(2), A=A, Q=np.eye(2))
+        step(sys, np.array([1.0, 0.0]), 0.0, dt=0.1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sys.A = np.zeros((2, 2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sys.alpha = 2.0
+        for M in (sys.J, sys.R, sys.A, sys.Q, sys.B):
+            with pytest.raises(ValueError, match="read-only"):
+                M[0] = 1.0
+        assert A.flags.writeable and sys.A is not A
+        still = dataclasses.replace(sys, A=np.zeros((2, 2)))
+        x, _ = step(still, np.array([1.0, 0.0]), 0.0, dt=0.1)
+        assert np.array_equal(x, [1.0, 0.0])
 
 
 class TestDegeneracy:
@@ -98,8 +117,7 @@ class TestStep:
         assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
 
     def test_flux_record_consistency(self):
-        sys = isotropic_decay_preset(dim=2, lam=1.5)
-        sys.alpha = 2.0
+        sys = dataclasses.replace(isotropic_decay_preset(dim=2, lam=1.5), alpha=2.0)
         traj, fluxes = simulate(sys, [1.0, 0.0], np.zeros(50), dt=0.01, rng=SeededRng(6))
         for fl in fluxes:
             assert fl.entropy_production_rate >= 0.0

@@ -135,6 +135,19 @@ class TestRidge:
         with pytest.raises(SingularMatrixError):
             ridge_fit(X, np.ones(10), 0.0)
 
+    @pytest.mark.parametrize("reg", [0.0, 1e-6, 0.37])
+    def test_column_targets_equal_one_dimensional_calls(self, reg):
+        # a (T, k) target shares one factorization; each column must still be
+        # bit-identical to the 1-D call, whatever the target's memory layout
+        gen = SeededRng(7).generator()
+        X = gen.standard_normal((200, 30))
+        Y = gen.standard_normal((200, 6))
+        for targets in (Y, np.asfortranarray(Y)):
+            W = ridge_fit(X, targets, reg)
+            assert W.shape == (30, 6)
+            for j in range(6):
+                assert np.array_equal(W[:, j], ridge_fit(X, Y[:, j].copy(), reg))
+
 
 class TestSpectralRescale:
     def test_identity(self):
