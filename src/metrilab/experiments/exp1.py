@@ -17,7 +17,7 @@ from ..numerics import SeededRng, ridge_fit
 from .base import ExperimentResult, sweep
 
 
-@dataclass
+@dataclass(frozen=True)
 class Exp1Config:
     dim: int = 300
     rot_pairs: int = 149         # reversible sector = 2 * rot_pairs coordinates
@@ -37,7 +37,7 @@ class Exp1Config:
     freq_high: float = 40.0
 
     def __post_init__(self):
-        self.lambda_grid = tuple(float(v) for v in self.lambda_grid)
+        object.__setattr__(self, "lambda_grid", tuple(float(v) for v in self.lambda_grid))
         if len(self.lambda_grid) == 0 or any(v <= 0 for v in self.lambda_grid):
             raise InvalidConfigError("lambda_grid must be nonempty with lambda > 0 "
                                      "(a small floor keeps the efficiency finite)")
@@ -45,14 +45,26 @@ class Exp1Config:
             raise InvalidConfigError("lambda_grid must be sorted ascending")
         if self.dim < 1:
             raise InvalidConfigError("dim must be >= 1")
+        if self.rot_pairs < 0:
+            raise InvalidConfigError(f"rot_pairs must be >= 0, got {self.rot_pairs}")
         if 2 * self.rot_pairs > self.dim:
             raise InvalidConfigError("rot_pairs too large for dim")
+        if not (np.isfinite(self.freq_low) and np.isfinite(self.freq_high)
+                and self.freq_low <= self.freq_high):
+            raise InvalidConfigError(f"need finite freq_low <= freq_high, got "
+                                     f"{self.freq_low} and {self.freq_high}")
+        if self.k_lags < 1:
+            raise InvalidConfigError(f"k_lags must be >= 1, got {self.k_lags}")
         if self.steps < 4 * self.k_lags:
             raise InvalidConfigError("steps must cover several lag windows")
         if self.ridge < 0:
             raise InvalidConfigError("ridge must be >= 0")
         if not (self.dt > 0 and self.alpha > 0):
             raise InvalidConfigError("dt and alpha must be > 0")
+        for name in ("input_noise", "state_noise"):
+            v = getattr(self, name)
+            if not (np.isfinite(v) and v >= 0):
+                raise InvalidConfigError(f"{name} must be finite and >= 0, got {v}")
 
 
 def make_input(cfg: Exp1Config, rng: SeededRng):

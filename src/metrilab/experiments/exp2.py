@@ -21,9 +21,10 @@ from .base import ExperimentResult
 LOCK_WINDOW_TIME = 10.0  # trailing window of the lock/drift phase-progress label
 LOCK_RAD = 0.5           # progress per window below which a rotator is locked
 DRIFT_RAD = 2.0          # progress per window above which it drifts
+_BANK_BLOCK = 64         # bank steps per normal draw and per observed-signal pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Exp2Config:
     freqs: tuple = (0.6, 1.0, 1.6, 2.4)
     trials_per_freq: int = 50
@@ -42,6 +43,8 @@ class Exp2Config:
     def __post_init__(self):
         if len(self.freqs) < 1:
             raise InvalidConfigError("need at least one candidate frequency")
+        if not all(np.isfinite(f) and f > 0 for f in self.freqs):
+            raise InvalidConfigError(f"freqs must be finite and > 0, got {self.freqs}")
         if self.trials_per_freq < 1:
             raise InvalidConfigError("trials_per_freq must be >= 1")
         if not 0 < self.lock_window_frac <= 1:
@@ -50,6 +53,12 @@ class Exp2Config:
             raise InvalidConfigError("dt and alpha must be > 0 and horizon finite")
         if self.steps < 1:
             raise InvalidConfigError("horizon must cover at least one step of dt")
+        if self.bits < 1:
+            raise InvalidConfigError(f"bits must be >= 1, got {self.bits}")
+        if not (np.isfinite(self.gamma) and self.gamma >= 0):
+            raise InvalidConfigError(f"gamma must be finite and >= 0, got {self.gamma}")
+        if not np.isfinite(self.couple):
+            raise InvalidConfigError(f"couple must be finite, got {self.couple}")
 
     @property
     def steps(self):
@@ -58,7 +67,15 @@ class Exp2Config:
 
 def _run_bank(cfg: Exp2Config, omega_in, phase, rng: SeededRng):
     """Vectorized run of all trials: returns (osc scores, I_irr per trial,
-    observed-signal samples for the register machine)."""
+    observed-signal samples for the register machine).
+
+    Each step draws n_trials observation normals, then n_trials * k phase
+    normals; a (block, n_trials * (1 + k)) draw is `block` such steps in a
+    row. Only the phase update runs step by step: the observed signal is
+    computed a block at a time before it, and the dissipation and demodulation
+    sums a block at a time after it, as cumulative sums that add the steps in
+    their order.
+    """
     n_trials = omega_in.size
     k = len(cfg.freqs)
     steps = cfg.steps
@@ -70,47 +87,91 @@ def _run_bank(cfg: Exp2Config, omega_in, phase, rng: SeededRng):
     diss = np.zeros(n_trials)
     u_obs = np.empty((steps, n_trials))
     w_start = int(round((1.0 - cfg.lock_window_frac) * steps))
-    sq = np.sqrt(cfg.dt)
-    for s in range(steps):
-        t = s * cfg.dt
-        u = cfg.amp * np.sin(omega_in * t + phase)
-        u = u + cfg.obs_noise * gen.standard_normal(n_trials)
-        u_obs[s] = u
-        sin_t = np.sin(theta)
-        diss += cfg.gamma * (sin_t * sin_t).sum(axis=1) * cfg.dt
-        if s >= w_start:
-            s_sin += sin_t * u[:, None]
-            s_cos += np.cos(theta) * u[:, None]
-        dtheta = omegas[None, :] + cfg.couple * u[:, None] * np.cos(theta) - cfg.gamma * sin_t
-        theta = theta + cfg.dt * dtheta + cfg.osc_noise * sq * gen.standard_normal((n_trials, k))
+    kick = cfg.osc_noise * np.sqrt(cfg.dt)
+    blk = min(_BANK_BLOCK, steps)
+    draws = np.empty((blk, n_trials * (1 + k)))
+    cu = np.empty((blk, n_trials, 1))
+    sin_blk = np.empty((blk, n_trials, k))
+    cos_blk = np.empty((blk, n_trials, k))
+    prod = np.empty((blk, n_trials, k))
+    rate = np.empty((blk, n_trials))
+    buf = np.empty((n_trials, k))
+    dtheta = np.empty((n_trials, k))
+    for s0 in range(0, steps, blk):
+        b = min(blk, steps - s0)
+        d = gen.standard_normal(out=draws[:b])
+        obs = d[:, :n_trials]
+        obs *= cfg.obs_noise
+        kicks = d[:, n_trials:].reshape(b, n_trials, k)
+        kicks *= kick
+        u_blk = u_obs[s0 : s0 + b]
+        np.multiply(np.arange(s0, s0 + b)[:, None] * cfg.dt, omega_in, out=u_blk)
+        u_blk += phase
+        np.sin(u_blk, out=u_blk)
+        u_blk *= cfg.amp
+        u_blk += obs
+        u3 = u_blk[:, :, None]
+        np.multiply(u3, cfg.couple, out=cu[:b])
+        sin_b, cos_b, prod_b, rate_b = sin_blk[:b], cos_blk[:b], prod[:b], rate[:b]
+        for j in range(b):
+            # theta += dt * (omegas + couple * u * cos - gamma * sin) + kick
+            sin_t = np.sin(theta, out=sin_b[j])
+            cos_t = np.cos(theta, out=cos_b[j])
+            np.multiply(cos_t, cu[j], out=dtheta)
+            dtheta += omegas
+            np.multiply(sin_t, cfg.gamma, out=buf)
+            dtheta -= buf
+            dtheta *= cfg.dt
+            theta += dtheta
+            theta += kicks[j]
+        np.multiply(sin_b, sin_b, out=prod_b)
+        prod_b.sum(axis=2, out=rate_b)
+        rate_b *= cfg.gamma
+        rate_b *= cfg.dt
+        _accumulate(diss, rate_b)
+        w0 = max(w_start - s0, 0)
+        if w0 < b:
+            _accumulate(s_sin, np.multiply(sin_b[w0:], u3[w0:], out=prod_b[w0:]))
+            _accumulate(s_cos, np.multiply(cos_b[w0:], u3[w0:], out=prod_b[w0:]))
     scores = s_sin**2 + s_cos**2
     return scores, diss / cfg.alpha, u_obs
 
 
+def _accumulate(total, terms):
+    """total += terms[0]; total += terms[1]; ..., one term after another;
+    `terms` is overwritten."""
+    terms[0] += total
+    np.add.accumulate(terms, axis=0, out=terms)
+    total[...] = terms[-1]
+
+
 def _digital_classify(cfg: Exp2Config, u_obs):
     """Hysteresis-gated zero-crossing counter machine: returns per-trial
-    (predicted index, reset count)."""
+    (predicted index, reset count).
+
+    All trials step their hysteresis state together; flips[s, i] marks a
+    crossing of trial i at step s.
+    """
     steps, n_trials = u_obs.shape
     h = cfg.hyst_frac * cfg.amp
     periods = 2.0 * np.pi / np.asarray(cfg.freqs)
+    flips = np.empty((steps, n_trials), dtype=bool)
+    down = np.empty(n_trials, dtype=bool)
+    state = u_obs[0] > 0
+    for s in range(steps):
+        np.greater(u_obs[s], h, out=flips[s])
+        np.less(u_obs[s], -h, out=down)
+        np.copyto(flips[s], down, where=state)
+        state ^= flips[s]
     pred = np.empty(n_trials, dtype=int)
     resets = np.empty(n_trials, dtype=int)
     for i in range(n_trials):
-        u = u_obs[:, i]
-        state = 1 if u[0] > 0 else 0
-        cross_times = []
-        for s in range(steps):
-            if state == 0 and u[s] > h:
-                state = 1
-                cross_times.append(s)
-            elif state == 1 and u[s] < -h:
-                state = 0
-                cross_times.append(s)
+        cross_times = np.flatnonzero(flips[:, i])
         resets[i] = len(cross_times)
         if len(cross_times) < 2:
             pred[i] = 0
             continue
-        half = np.diff(np.asarray(cross_times)) * cfg.dt
+        half = np.diff(cross_times) * cfg.dt
         est_period = 2.0 * float(np.median(half))
         pred[i] = int(np.argmin(np.abs(est_period - periods)))
     return pred, resets

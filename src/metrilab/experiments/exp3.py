@@ -17,7 +17,7 @@ from ..numerics import SeededRng, ridge_fit, spectral_radius
 from .base import ExperimentResult, sweep
 
 
-@dataclass
+@dataclass(frozen=True)
 class Exp3Config:
     n_reservoir: int = 200
     leak: float = 0.3
@@ -35,7 +35,7 @@ class Exp3Config:
                                # signal above this floor, near-critical ones can
 
     def __post_init__(self):
-        self.rho_grid = tuple(float(r) for r in self.rho_grid)
+        object.__setattr__(self, "rho_grid", tuple(float(r) for r in self.rho_grid))
         if len(self.rho_grid) == 0:
             raise InvalidConfigError("rho_grid must be nonempty")
         if sorted(self.rho_grid) != list(self.rho_grid):

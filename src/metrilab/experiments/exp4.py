@@ -26,7 +26,7 @@ def ca_step(E, K):
     return E_new, flows
 
 
-@dataclass
+@dataclass(frozen=True)
 class Exp4Config:
     height: int = 256
     width: int = 256

@@ -8,12 +8,18 @@ beside it, which tests/test_kernels.py runs as the oracle:
 - patch entropy, rotor and ESN: the kernel sums or rounds in another order
   and agrees with its loop within 1e-12.
 
+`rotor_chunk` steps the rotor in place, one row of its output per step,
+and rotates all pairs in one pass; tests/test_kernels.py also keeps its
+earlier blockwise numpy form, which it equals bit for bit.
+
 The lattice kernels take any window of a lattice: exp4 passes only the
 cells near its energy blob, and a zero cell with zero neighbors neither
 sends nor receives quanta, so the window's result equals the full lattice's
 there. `patch_entropy` reads -p log p from a (w*w + 1)-entry table built per
 call, bit-identical to evaluating it per bin.
 """
+
+import math
 
 import numpy as np
 
@@ -268,19 +274,42 @@ def _rotor_chunk_loops(x, cos_w, sin_w, lam, bvec, u, noise, dt, states):
 
 
 def rotor_chunk(x, omegas, lam, bvec, u, noise, dt, states):
-    """Drive the renormalized rotor reservoir over len(u) steps, filling `states`."""
-    cos_w = np.cos(np.asarray(omegas) * dt)
-    sin_w = np.sin(np.asarray(omegas) * dt)
-    m = cos_w.shape[0]
+    """Drive the renormalized rotor reservoir over len(u) steps, filling `states`.
+
+    Each step is computed in place in its row of `states`, with no per-step
+    allocation. The pair rotation is one pass over the whole state,
+    `v = C * v + S * v[swap]`: C holds each block's cosine twice and S holds
+    (-sin, +sin), and coordinates outside the rotation pairs have C = 1,
+    S = 0 and swap to themselves. This equals the blockwise form
+    `(cos*a - sin*b, sin*a + cos*b)` bit for bit, since a + (-s)*b == a - s*b
+    and + commutes in IEEE arithmetic. The norm is sqrt(v . v), which is what
+    np.linalg.norm computes for a 1-D float array. Returns the final state
+    (the last row of `states`); the caller's `x` is not mutated.
+    """
+    n = x.shape[0]
+    wdt = np.asarray(omegas) * dt
+    pair = slice(0, 2 * wdt.shape[0])
+    C = np.ones(n)
+    S = np.zeros(n)
+    swap = np.arange(n)
+    C[pair] = np.repeat(np.cos(wdt), 2)
+    S[pair] = np.repeat(np.sin(wdt), 2)
+    S[pair][0::2] *= -1.0
+    swap[pair] ^= 1
+    decay = 1.0 - lam * dt
+    drive = dt * bvec
+    w = np.empty(n)
     for t in range(noise.shape[0]):
-        v = (1.0 - lam * dt) * x + dt * bvec * u[t]
-        a = v[0 : 2 * m : 2].copy()
-        b = v[1 : 2 * m : 2].copy()
-        v[0 : 2 * m : 2] = cos_w * a - sin_w * b
-        v[1 : 2 * m : 2] = sin_w * a + cos_w * b
-        v = v + noise[t]
-        v /= np.linalg.norm(v)
-        states[t] = v
+        v = states[t]
+        np.multiply(x, decay, out=v)
+        np.multiply(drive, u[t], out=w)
+        v += w
+        v.take(swap, out=w)
+        w *= S
+        v *= C
+        v += w
+        v += noise[t]
+        v /= math.sqrt(v.dot(v))
         x = v
     return x
 

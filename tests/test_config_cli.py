@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import platform
@@ -66,6 +67,21 @@ class TestParseConfig:
         p.write_text("[exp3]\nleak = 1.5\n")
         with pytest.raises(InvalidConfigError, match="leak"):
             parse_config(str(p))
+
+    @pytest.mark.parametrize("section,key", [
+        ("exp1", "steps"), ("exp1", "lambda_grid"), ("exp2", "freqs"),
+        ("exp3", "rho_grid"), ("exp4", "K")])
+    def test_experiment_configs_are_frozen(self, tmp_path, section, key):
+        # a config is checked once, when it is built; it cannot be changed after
+        p = tmp_path / "c.cfg"
+        p.write_text("exp1.lambda_grid = [1e-3, 1]\nexp3.rho_grid = [0.5, 1]\n")
+        sec = getattr(parse_config(str(p)), section)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sec, key, getattr(sec, key))
+        if key.endswith("_grid"):
+            # normalized at construction into a tuple of plain floats
+            grid = sec.__dict__[key]
+            assert type(grid) is tuple and all(type(v) is float for v in grid)
 
     def test_resolved_echoes_every_default(self):
         resolved = parse_config(None).resolved()
@@ -254,6 +270,17 @@ class TestCLI:
         ("bitflip", "[bitflip]\nD = 0\n", False, 2, "config-error"),
         ("erasure", "[erasure]\nD = 0\n", False, 2, "config-error"),
         ("exp3", "[exp3]\namps = [1.0]\n", False, 2, "config-error"),
+        ("exp1", "[exp1]\nrot_pairs = -1\n", False, 2, "config-error"),
+        ("exp1", "[exp1]\nfreq_low = 50\n", False, 2, "config-error"),
+        ("exp1", "[exp1]\nk_lags = 0\n", False, 2, "config-error"),
+        ("exp1", "[exp1]\ninput_noise = nan\n", False, 2, "config-error"),
+        ("exp1", "[exp1]\nstate_noise = nan\n", False, 2, "config-error"),
+        ("exp1", "[exp1]\nstate_noise = -0.01\n", False, 2, "config-error"),
+        ("exp2", "[exp2]\nbits = -1\n", False, 2, "config-error"),
+        ("exp2", "[exp2]\ngamma = -1\n", False, 2, "config-error"),
+        ("exp2", "[exp2]\nfreqs = [0, 1.0]\n", False, 2, "config-error"),
+        ("exp2", "[exp2]\nfreqs = [inf]\n", False, 2, "config-error"),
+        ("exp2", "[exp2]\ncouple = nan\n", False, 2, "config-error"),
     ], ids=["tur_walkers", "classical_trials", "erasure_trials", "bitflip_trials",
             "pulse_amplitude", "out_is_file", "exp1_ridge", "exp3_ridge", "exp4_stride",
             "exp4_patch", "exp4_bins", "exp4_frame_every", "exp4_patch_exceeds_lattice",
@@ -261,7 +288,10 @@ class TestCLI:
             "bitflip_hist_bins", "bitflip_durations", "erasure_T_protocol", "exp1_dim",
             "exp3_n_reservoir", "exp1_dt", "exp1_dt_negative", "exp1_alpha", "exp2_dt",
             "exp2_horizon", "exp2_alpha", "exp3_periods", "checks_near_eq_ratio",
-            "checks_classical_T", "bitflip_D", "erasure_D", "exp3_amps_periods"])
+            "checks_classical_T", "bitflip_D", "erasure_D", "exp3_amps_periods",
+            "exp1_rot_pairs", "exp1_freq_range", "exp1_k_lags", "exp1_input_noise_nan",
+            "exp1_state_noise_nan", "exp1_state_noise_negative", "exp2_bits", "exp2_gamma",
+            "exp2_freqs_zero", "exp2_freqs_inf", "exp2_couple_nan"])
     def test_exit_code_table(self, tmp_path, capsys, subcommand, config, out_is_file, code, error):
         # each failure ends in its documented code with one JSON line on
         # stderr; an exception escaping main fails the test

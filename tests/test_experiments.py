@@ -15,7 +15,7 @@ from metrilab.experiments import (
     run_exp4,
 )
 from metrilab import kernels
-from metrilab.experiments import exp4
+from metrilab.experiments import exp2, exp4
 from metrilab.experiments.base import ExperimentResult
 from metrilab.experiments.exp1 import lagged_r2, make_input
 from metrilab.experiments.exp2 import lock_path_length
@@ -120,6 +120,120 @@ class TestExp2:
         cfg = Exp2Config(horizon=60.0)
         count, _ = lock_path_length(cfg, omega_in=cfg.freqs[0], seed=5)
         assert count <= 3
+
+
+def _run_bank_per_step(cfg, omega_in, phase, rng):
+    # exp2._run_bank as it was before block draws: one draw per step and kind,
+    # sin(theta) once and cos(theta) twice per step, fresh arrays throughout
+    n_trials = omega_in.size
+    k = len(cfg.freqs)
+    steps = cfg.steps
+    gen = rng.generator()
+    theta = gen.uniform(0.0, 2.0 * np.pi, size=(n_trials, k))
+    omegas = np.asarray(cfg.freqs)
+    s_sin = np.zeros((n_trials, k))
+    s_cos = np.zeros((n_trials, k))
+    diss = np.zeros(n_trials)
+    u_obs = np.empty((steps, n_trials))
+    w_start = int(round((1.0 - cfg.lock_window_frac) * steps))
+    sq = np.sqrt(cfg.dt)
+    for s in range(steps):
+        t = s * cfg.dt
+        u = cfg.amp * np.sin(omega_in * t + phase)
+        u = u + cfg.obs_noise * gen.standard_normal(n_trials)
+        u_obs[s] = u
+        sin_t = np.sin(theta)
+        diss += cfg.gamma * (sin_t * sin_t).sum(axis=1) * cfg.dt
+        if s >= w_start:
+            s_sin += sin_t * u[:, None]
+            s_cos += np.cos(theta) * u[:, None]
+        dtheta = omegas[None, :] + cfg.couple * u[:, None] * np.cos(theta) - cfg.gamma * sin_t
+        theta = theta + cfg.dt * dtheta + cfg.osc_noise * sq * gen.standard_normal((n_trials, k))
+    scores = s_sin**2 + s_cos**2
+    return scores, diss / cfg.alpha, u_obs
+
+
+def _digital_classify_per_trial(cfg, u_obs):
+    # exp2._digital_classify as it was before the trials stepped together:
+    # one Python loop over the steps of each trial
+    steps, n_trials = u_obs.shape
+    h = cfg.hyst_frac * cfg.amp
+    periods = 2.0 * np.pi / np.asarray(cfg.freqs)
+    pred = np.empty(n_trials, dtype=int)
+    resets = np.empty(n_trials, dtype=int)
+    for i in range(n_trials):
+        u = u_obs[:, i]
+        state = 1 if u[0] > 0 else 0
+        cross_times = []
+        for s in range(steps):
+            if state == 0 and u[s] > h:
+                state = 1
+                cross_times.append(s)
+            elif state == 1 and u[s] < -h:
+                state = 0
+                cross_times.append(s)
+        resets[i] = len(cross_times)
+        if len(cross_times) < 2:
+            pred[i] = 0
+            continue
+        half = np.diff(np.asarray(cross_times)) * cfg.dt
+        est_period = 2.0 * float(np.median(half))
+        pred[i] = int(np.argmin(np.abs(est_period - periods)))
+    return pred, resets
+
+
+def _bank_inputs(cfg, seed):
+    # the drive frequencies and phases run_exp2 hands to the bank
+    base = SeededRng(seed)
+    gen = base.derive(0).generator()
+    true_idx = np.repeat(np.arange(len(cfg.freqs)), cfg.trials_per_freq)
+    gen.shuffle(true_idx)
+    phase = gen.uniform(0.0, 2.0 * np.pi, true_idx.size)
+    return np.asarray(cfg.freqs)[true_idx], phase, base.derive(1)
+
+
+class TestExp2AgainstPerStepOracle:
+    """The block-drawn bank and the trials-together counter give the same
+    bits as the per-step and per-trial loops they replaced."""
+
+    # 2000 steps end in a partial block, 512 steps fill whole ones
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("cfg", [
+        Exp2Config(trials_per_freq=5, horizon=20.0),
+        Exp2Config(trials_per_freq=2, horizon=5.12),
+        Exp2Config(freqs=(1.0,), trials_per_freq=4, horizon=10.0),
+        Exp2Config(trials_per_freq=1, horizon=5.13),
+    ], ids=["ragged_last_block", "whole_blocks", "one_freq", "one_trial_per_freq"])
+    def test_bank_equals_per_step(self, cfg, seed):
+        omega_in, phase, rng = _bank_inputs(cfg, seed)
+        got = exp2._run_bank(cfg, omega_in, phase, rng)
+        ref = _run_bank_per_step(cfg, omega_in, phase, rng)
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("hyst_frac", [0.1, 0.5, 1.2])
+    def test_counter_equals_per_trial(self, hyst_frac):
+        cfg = Exp2Config(trials_per_freq=3, horizon=20.0, hyst_frac=hyst_frac)
+        omega_in, phase, rng = _bank_inputs(cfg, 0)
+        u_obs = exp2._run_bank(cfg, omega_in, phase, rng)[2]
+        steps = cfg.steps
+        t = cfg.dt * np.arange(steps)
+        extra = np.stack([
+            0.05 + 0.0 * t,                       # starts inside the band, never crosses
+            np.where(t < 5.0, 0.05, np.sin(t)),   # starts inside the band, then oscillates
+            np.where(t < 5.0, -0.05, np.sin(t)),  # same from below zero
+            np.zeros(steps),                      # never leaves zero
+        ], axis=1)
+        u_obs = np.concatenate([u_obs, extra], axis=1)
+        pred, resets = exp2._digital_classify(cfg, u_obs)
+        ref_pred, ref_resets = _digital_classify_per_trial(cfg, u_obs)
+        assert np.array_equal(pred, ref_pred)
+        assert np.array_equal(resets, ref_resets)
+        assert resets[-1] == resets[-4] == 0
+        if hyst_frac < 1.0:
+            assert resets[-3] > 1 and resets[-2] > 1
+        else:
+            assert resets.max() < 20  # a band above the amplitude leaves few crossings
 
 
 class TestCAStep:

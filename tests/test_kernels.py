@@ -140,6 +140,66 @@ def test_rotor_paths_agree_and_rotation_is_exact():
     assert np.allclose(np.linalg.norm(sc, axis=1), 1.0, atol=1e-12)
 
 
+def _rotor_chunk_blockwise(x, omegas, lam, bvec, u, noise, dt, states):
+    # rotor_chunk as it was before the in-place step: a new state array per
+    # step, the rotation block by block, the norm from np.linalg.norm
+    cos_w = np.cos(np.asarray(omegas) * dt)
+    sin_w = np.sin(np.asarray(omegas) * dt)
+    m = cos_w.shape[0]
+    for t in range(noise.shape[0]):
+        v = (1.0 - lam * dt) * x + dt * bvec * u[t]
+        a = v[0 : 2 * m : 2].copy()
+        b = v[1 : 2 * m : 2].copy()
+        v[0 : 2 * m : 2] = cos_w * a - sin_w * b
+        v[1 : 2 * m : 2] = sin_w * a + cos_w * b
+        v = v + noise[t]
+        v /= np.linalg.norm(v)
+        states[t] = v
+        x = v
+    return x
+
+
+def _assert_rotor_equals_blockwise(x0, omegas, lam, bvec, u, noise, dt):
+    steps, dim = noise.shape
+    got = np.empty((steps, dim))
+    ref = np.empty((steps, dim))
+    x_in = x0.copy()
+    x_got = K.rotor_chunk(x0, omegas, lam, bvec, u, noise, dt, got)
+    x_ref = _rotor_chunk_blockwise(x0, omegas, lam, bvec, u, noise, dt, ref)
+    assert np.array_equal(got, ref)
+    assert np.array_equal(x_got, x_ref)
+    assert np.array_equal(x0, x_in)  # caller's state untouched
+
+
+def test_rotor_equals_blockwise_form_bit_for_bit():
+    # exp1's reservoir at its default size, driven by exp1's own draws, for
+    # every default lambda (the last, 10, makes the decay factor exactly 0)
+    from metrilab.experiments import Exp1Config
+    from metrilab.experiments.exp1 import make_input
+    from metrilab.numerics import SeededRng
+
+    cfg = Exp1Config()
+    base = SeededRng(0)
+    omegas = base.derive(0).generator().uniform(cfg.freq_low, cfg.freq_high, cfg.rot_pairs)
+    bvec = base.derive(1).generator().standard_normal(cfg.dim)
+    bvec /= np.linalg.norm(bvec)
+    u = make_input(cfg, base.derive(2))
+    noise = cfg.state_noise * np.sqrt(cfg.dt) * base.derive(3).generator().standard_normal(
+        (cfg.steps, cfg.dim))
+    x0 = base.derive(4).generator().standard_normal(cfg.dim)
+    x0 /= np.linalg.norm(x0)
+    assert 1.0 - cfg.lambda_grid[-1] * cfg.dt == 0.0
+    for lam in cfg.lambda_grid:
+        _assert_rotor_equals_blockwise(x0, omegas, lam, bvec, u, noise, cfg.dt)
+    # the small case of test_rotor_paths_agree_and_rotation_is_exact
+    gen = np.random.default_rng(3)
+    x0 = gen.standard_normal(10)
+    x0 /= np.linalg.norm(x0)
+    _assert_rotor_equals_blockwise(x0, gen.uniform(2.0, 20.0, 4), 0.5, gen.standard_normal(10),
+                                   gen.standard_normal(30), 0.01 * gen.standard_normal((30, 10)),
+                                   0.05)
+
+
 def test_esn_paths_agree():
     gen = np.random.default_rng(4)
     # (reservoir size, steps, weight scale): a small case, then exp3's
