@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import kernels
-from .errors import BoundaryStateError, IntegrationDivergedError, InvalidConfigError
+from .errors import BoundaryStateError, IntegrationDivergedError, InvalidConfigError, check_fields
 from .numerics import SeededRng, Trajectory
 
 #: sentinel returned by classifiers for separatrix-band states
@@ -173,7 +173,7 @@ def preserved_information(ledger: IrreversibilityLedger, space: EncodingSpace, h
 # controlled double-well protocols
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class DoubleWellParams:
     a: float = 1.0
     b: float = 2.0
@@ -187,11 +187,11 @@ class DoubleWellParams:
     snapshots: int = 200
     hist_bins: int = 128
 
+    POSITIVE = ("a", "b", "c", "gamma", "D", "alpha", "dt", "snapshots", "hist_bins")
+    NONNEGATIVE = ("burn_in",)
+
     def __post_init__(self):
-        if min(self.a, self.b, self.c, self.gamma, self.D) <= 0:
-            raise InvalidConfigError("a, b, c, gamma and D must be > 0")
-        if not self.dt > 0 or self.snapshots < 1 or self.hist_bins < 1:
-            raise InvalidConfigError("dt must be > 0 and snapshots, hist_bins >= 1")
+        check_fields(self)
 
     @property
     def kT(self):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .cce import DoubleWellParams
 from .circuits import GateParams
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, check_fields
 from .experiments import Exp1Config, Exp2Config, Exp3Config, Exp4Config
 from .experiments.base import jsonable
 from .metrics import TUR_MIN_SAMPLES, SafetyLimits
@@ -82,7 +82,7 @@ def parse_config_text(text):
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProtocolRunConfig(DoubleWellParams):
     """Double-well protocol parameters plus run-level controls."""
 
@@ -91,12 +91,12 @@ class ProtocolRunConfig(DoubleWellParams):
     durations: tuple = ()
     per_trial_csv: bool = False
 
+    POSITIVE = DoubleWellParams.POSITIVE + ("T_protocol", "durations")
+
     def __post_init__(self):
-        super().__post_init__()
+        check_fields(self)
         if self.trials < 2:
             raise InvalidConfigError(f"trials must be >= 2 for a spread, got {self.trials}")
-        if min((self.T_protocol, *self.durations)) <= 0:
-            raise InvalidConfigError("T_protocol and durations must be > 0")
 
     def duration_sweep(self):
         return tuple(self.durations) if self.durations else (self.T_protocol,)
@@ -108,12 +108,13 @@ class GatesConfig(GateParams):
 
     noise: float = 1e-3
 
+    NONNEGATIVE = ("noise",)
+
     def __post_init__(self):
-        if not (np.isfinite(self.noise) and self.noise >= 0.0):
-            raise InvalidConfigError(f"gates.noise must be finite and >= 0, got {self.noise!r}")
+        check_fields(self)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChecksConfig:
     tur_ensembles: int = 100
     tur_walkers: int = 2000
@@ -130,22 +131,23 @@ class ChecksConfig:
     classical_trials: int = 400
     classical_T: float = 20.0
 
+    POSITIVE = ("tur_steps", "tur_forward", "tur_backward", "near_eq_ratio", "trace_prior_samples",
+                "gauss_tau", "gauss_sigma", "tight_snrs", "classical_T")
+    NONNEGATIVE = ("tur_ensembles", "trace_random_channels")
+
     def __post_init__(self):
+        check_fields(self)
         if self.channel_preset not in ("gaussian", "corrupted"):
             raise InvalidConfigError("channel_preset must be 'gaussian' or 'corrupted'")
-        if self.tur_forward <= 0 or self.tur_backward <= 0 or self.tur_forward + self.tur_backward >= 1:
-            raise InvalidConfigError("hop probabilities must be positive with sum < 1")
+        if self.tur_forward + self.tur_backward >= 1:
+            raise InvalidConfigError("tur_forward + tur_backward must be < 1")
         if self.tur_walkers < TUR_MIN_SAMPLES:
             raise InvalidConfigError(f"tur_walkers must be >= {TUR_MIN_SAMPLES}, got {self.tur_walkers}")
         if self.classical_trials < 2:
             raise InvalidConfigError(f"classical_trials must be >= 2, got {self.classical_trials}")
-        if not 0 < self.near_eq_ratio < np.inf:
-            raise InvalidConfigError(f"near_eq_ratio must be finite and > 0, got {self.near_eq_ratio}")
-        if not self.classical_T > 0:
-            raise InvalidConfigError(f"classical_T must be > 0, got {self.classical_T}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class MonitorConfig:
     lam: float = 10.0
     steps: int = 1000
@@ -158,15 +160,18 @@ class MonitorConfig:
     chi_max: float = 100.0
     window: int = 100
 
+    POSITIVE = ("steps", "dt", "P_max", "I_dot_max", "s_crit", "f_max", "window")
+
     def __post_init__(self):
-        self.limits()  # rejects chi_min >= chi_max and any limit <= 0
+        check_fields(self)
+        self.limits()  # rejects chi_min >= chi_max
 
     def limits(self):
         return SafetyLimits(chi_range=(self.chi_min, self.chi_max), P_max=self.P_max,
                             I_dot_max=self.I_dot_max, s_crit=self.s_crit, f_max=self.f_max)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
     exp1: Exp1Config = field(default_factory=Exp1Config)
@@ -201,6 +206,8 @@ def _coerce(section, key, value, ftype):
             return value
     elif ftype is tuple:
         if isinstance(value, list):
+            for v in value:  # every tuple field holds numbers
+                _coerce(section, key, v, float)
             return tuple(value)
     elif ftype is str:
         if isinstance(value, str):
@@ -211,7 +218,10 @@ def _coerce(section, key, value, ftype):
 
 
 def build_run_config(sections) -> RunConfig:
-    overrides = {}
+    """Each overridden section is its default with the given keys replaced,
+    checked by its own constructor; the others keep their defaults."""
+    defaults = RunConfig()
+    built = {}
     seed = 0
     for sec, kv in sections.items():
         if sec == "run":
@@ -228,16 +238,12 @@ def build_run_config(sections) -> RunConfig:
             if k not in ftypes:
                 raise InvalidConfigError(f"unknown key {sec}.{k}")
             kwargs[k] = _coerce(sec, k, v, ftypes[k])
-        overrides[sec] = kwargs
-    cfg = RunConfig(seed=seed)
-    for sec, kwargs in overrides.items():
-        current = dataclasses.asdict(getattr(cfg, sec))
-        current.update(kwargs)
         try:
-            setattr(cfg, sec, _SECTIONS[sec](**current))
+            built[sec] = dataclasses.replace(getattr(defaults, sec), **kwargs)
         except (InvalidConfigError, TypeError, ValueError) as exc:
-            raise InvalidConfigError(f"bad [{sec}] configuration: {exc}") from exc
-    return cfg
+            where = f"{sec}." if getattr(exc, "key", None) else ""
+            raise InvalidConfigError(f"bad [{sec}] configuration: {where}{exc}") from exc
+    return dataclasses.replace(defaults, seed=seed, **built)
 
 
 def parse_config(path=None) -> RunConfig:

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config field check."""
+
+import dataclasses
+import math
 
 
 class MetrilabError(Exception):
@@ -26,7 +29,30 @@ class BoundaryStateError(MetrilabError):
 
 
 class InvalidConfigError(MetrilabError):
-    """Bad configuration value or unknown key."""
+    """Bad configuration value or unknown key. `key` names the field when its
+    own bound failed; the message then starts with that name."""
+
+    def __init__(self, message, key=None):
+        self.key = key
+        super().__init__(message)
+
+
+def check_fields(cfg):
+    """The per-field rule of a config section (a dataclass instance).
+
+    Every float field, and every float inside a tuple field, must be finite.
+    The fields named in the class-level tuples POSITIVE and NONNEGATIVE must
+    then be > 0 and >= 0, elementwise for tuples. Those tuples are plain class
+    attributes, not fields, so they never reach the section's `__dict__`.
+    """
+    rules = [(f.name, "finite", lambda v: not isinstance(v, float) or math.isfinite(v))
+             for f in dataclasses.fields(cfg)]
+    rules += [(name, "> 0", lambda v: v > 0) for name in getattr(cfg, "POSITIVE", ())]
+    rules += [(name, ">= 0", lambda v: v >= 0) for name in getattr(cfg, "NONNEGATIVE", ())]
+    for name, rule, ok in rules:
+        value = getattr(cfg, name)
+        if not all(map(ok, value if isinstance(value, tuple) else (value,))):
+            raise InvalidConfigError(f"{name} must be {rule}, got {value!r}", key=name)
 
 
 class InvalidGateParamsError(MetrilabError):

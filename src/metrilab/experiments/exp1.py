@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import kernels
-from ..errors import InvalidConfigError
+from ..errors import InvalidConfigError, check_fields
 from ..numerics import SeededRng, ridge_fit
 from .base import ExperimentResult, sweep
 
@@ -36,35 +36,20 @@ class Exp1Config:
     freq_low: float = 2.0
     freq_high: float = 40.0
 
+    POSITIVE = ("dim", "k_lags", "dt", "lambda_grid", "alpha")  # lambda > 0 keeps chi finite
+    NONNEGATIVE = ("rot_pairs", "input_noise", "state_noise", "ridge")
+
     def __post_init__(self):
         object.__setattr__(self, "lambda_grid", tuple(float(v) for v in self.lambda_grid))
-        if len(self.lambda_grid) == 0 or any(v <= 0 for v in self.lambda_grid):
-            raise InvalidConfigError("lambda_grid must be nonempty with lambda > 0 "
-                                     "(a small floor keeps the efficiency finite)")
-        if sorted(self.lambda_grid) != list(self.lambda_grid):
-            raise InvalidConfigError("lambda_grid must be sorted ascending")
-        if self.dim < 1:
-            raise InvalidConfigError("dim must be >= 1")
-        if self.rot_pairs < 0:
-            raise InvalidConfigError(f"rot_pairs must be >= 0, got {self.rot_pairs}")
+        check_fields(self)
+        if not self.lambda_grid or sorted(self.lambda_grid) != list(self.lambda_grid):
+            raise InvalidConfigError("lambda_grid must be nonempty and sorted ascending")
         if 2 * self.rot_pairs > self.dim:
             raise InvalidConfigError("rot_pairs too large for dim")
-        if not (np.isfinite(self.freq_low) and np.isfinite(self.freq_high)
-                and self.freq_low <= self.freq_high):
-            raise InvalidConfigError(f"need finite freq_low <= freq_high, got "
-                                     f"{self.freq_low} and {self.freq_high}")
-        if self.k_lags < 1:
-            raise InvalidConfigError(f"k_lags must be >= 1, got {self.k_lags}")
+        if self.freq_low > self.freq_high:
+            raise InvalidConfigError(f"freq_low must be <= freq_high, got {self.freq_low} > {self.freq_high}")
         if self.steps < 4 * self.k_lags:
             raise InvalidConfigError("steps must cover several lag windows")
-        if self.ridge < 0:
-            raise InvalidConfigError("ridge must be >= 0")
-        if not (self.dt > 0 and self.alpha > 0):
-            raise InvalidConfigError("dt and alpha must be > 0")
-        for name in ("input_noise", "state_noise"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v >= 0):
-                raise InvalidConfigError(f"{name} must be finite and >= 0, got {v}")
 
 
 def make_input(cfg: Exp1Config, rng: SeededRng):

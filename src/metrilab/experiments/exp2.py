@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..cce import BOUNDARY, EncodingSpace, encoding_path_length
-from ..errors import InvalidConfigError
+from ..errors import InvalidConfigError, check_fields
 from ..numerics import SeededRng, Trajectory
 from .base import ExperimentResult
 
@@ -40,25 +40,17 @@ class Exp2Config:
     alpha: float = 1.0
     lock_window_frac: float = 0.75
 
+    POSITIVE = ("freqs", "trials_per_freq", "dt", "amp", "bits", "alpha")
+    NONNEGATIVE = ("gamma", "osc_noise", "obs_noise", "hyst_frac")
+
     def __post_init__(self):
-        if len(self.freqs) < 1:
-            raise InvalidConfigError("need at least one candidate frequency")
-        if not all(np.isfinite(f) and f > 0 for f in self.freqs):
-            raise InvalidConfigError(f"freqs must be finite and > 0, got {self.freqs}")
-        if self.trials_per_freq < 1:
-            raise InvalidConfigError("trials_per_freq must be >= 1")
+        check_fields(self)
+        if not self.freqs or len(set(self.freqs)) < len(self.freqs):
+            raise InvalidConfigError(f"freqs must be nonempty and distinct, got {self.freqs}")
         if not 0 < self.lock_window_frac <= 1:
             raise InvalidConfigError("lock_window_frac must lie in (0, 1]")
-        if not (self.dt > 0 and self.alpha > 0 and np.isfinite(self.horizon)):
-            raise InvalidConfigError("dt and alpha must be > 0 and horizon finite")
         if self.steps < 1:
             raise InvalidConfigError("horizon must cover at least one step of dt")
-        if self.bits < 1:
-            raise InvalidConfigError(f"bits must be >= 1, got {self.bits}")
-        if not (np.isfinite(self.gamma) and self.gamma >= 0):
-            raise InvalidConfigError(f"gamma must be finite and >= 0, got {self.gamma}")
-        if not np.isfinite(self.couple):
-            raise InvalidConfigError(f"couple must be finite, got {self.couple}")
 
     @property
     def steps(self):

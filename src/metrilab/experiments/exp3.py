@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import kernels
-from ..errors import InvalidConfigError
+from ..errors import InvalidConfigError, check_fields
 from ..numerics import SeededRng, ridge_fit, spectral_radius
 from .base import ExperimentResult, sweep
 
@@ -34,24 +34,18 @@ class Exp3Config:
     state_noise: float = 0.03  # update jitter; weak reservoirs cannot lift the
                                # signal above this floor, near-critical ones can
 
+    POSITIVE = ("n_reservoir", "rho_grid", "periods")
+    NONNEGATIVE = ("ridge", "washout", "eps", "signal_noise", "state_noise")
+
     def __post_init__(self):
         object.__setattr__(self, "rho_grid", tuple(float(r) for r in self.rho_grid))
-        if len(self.rho_grid) == 0:
-            raise InvalidConfigError("rho_grid must be nonempty")
-        if sorted(self.rho_grid) != list(self.rho_grid):
-            raise InvalidConfigError("rho_grid must be sorted ascending")
-        if min(self.rho_grid) <= 0:
-            raise InvalidConfigError("spectral radii must be positive")
-        if self.n_reservoir < 1:
-            raise InvalidConfigError("n_reservoir must be >= 1")
+        check_fields(self)
+        if not self.rho_grid or sorted(self.rho_grid) != list(self.rho_grid):
+            raise InvalidConfigError("rho_grid must be nonempty and sorted ascending")
         if not 0 < self.leak <= 1:
             raise InvalidConfigError("leak must lie in (0, 1]")
-        if self.washout < 0 or self.train < 10 or self.test < 10:
-            raise InvalidConfigError("washout >= 0 and train/test >= 10 required")
-        if self.ridge < 0:
-            raise InvalidConfigError("ridge must be >= 0")
-        if not all(p > 0 for p in self.periods):
-            raise InvalidConfigError("periods must be > 0 steps per cycle")
+        if self.train < 10 or self.test < 10:
+            raise InvalidConfigError("train and test must be >= 10 steps")
         if len(self.amps) != len(self.periods):
             raise InvalidConfigError("amps and periods must have the same length")
 

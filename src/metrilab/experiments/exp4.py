@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import BorderContactError, InternalLogicError, InvalidConfigError
+from ..errors import BorderContactError, InternalLogicError, InvalidConfigError, check_fields
 from ..kernels import MOORE_OFFSETS, ca_step as _kernel_ca_step, patch_entropy
 from ..numerics import SeededRng
 from .base import ExperimentResult
@@ -44,21 +44,18 @@ class Exp4Config:
     peak: int = 300
     save_fields: bool = False
 
+    POSITIVE = ("K", "stride", "bins", "frame_every", "eps", "radius", "eccentricity", "peak")
+
     def __post_init__(self):
-        if self.K < 1:
-            raise InvalidConfigError("K must be >= 1")
-        if self.frame_every < 1:
-            raise InvalidConfigError("frame_every must be >= 1")
+        check_fields(self)
         if self.steps < 2 * self.frame_every:
             raise InvalidConfigError("steps must cover at least two frames")
         if not 0 < self.top_frac < 1:
             raise InvalidConfigError("top_frac must lie in (0, 1)")
-        if not 1 <= self.patch <= min(self.height, self.width):
-            raise InvalidConfigError("patch must satisfy 1 <= patch <= min(height, width)")
-        if not 1 <= self.stride <= self.patch:
-            raise InvalidConfigError("stride must satisfy 1 <= stride <= patch")
-        if self.bins < 1:
-            raise InvalidConfigError("bins must be >= 1")
+        if not 0 <= self.noise_amp <= 1:
+            raise InvalidConfigError("noise_amp must lie in [0, 1]")
+        if not self.stride <= self.patch <= min(self.height, self.width):
+            raise InvalidConfigError("need stride <= patch <= min(height, width)")
 
 
 def initial_blob(cfg: Exp4Config, rng: SeededRng):

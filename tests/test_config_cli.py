@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from metrilab.cli import main
-from metrilab.config import parse_config, parse_config_text, parse_value
+from metrilab.config import (_SECTIONS, RunConfig, build_run_config, parse_config,
+                             parse_config_text, parse_value)
 from metrilab.errors import InvalidConfigError
 
 
@@ -70,18 +71,41 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("section,key", [
         ("exp1", "steps"), ("exp1", "lambda_grid"), ("exp2", "freqs"),
-        ("exp3", "rho_grid"), ("exp4", "K")])
+        ("exp3", "rho_grid"), ("exp4", "K"), ("bitflip", "durations"), ("erasure", "D"),
+        ("gates", "noise"), ("checks", "tight_snrs"), ("monitor", "window"),
+        ("run", "seed"), ("run", "monitor")])
     def test_experiment_configs_are_frozen(self, tmp_path, section, key):
-        # a config is checked once, when it is built; it cannot be changed after
+        # a config is checked once, when it is built; neither a section nor
+        # the RunConfig holding them can be changed after
         p = tmp_path / "c.cfg"
         p.write_text("exp1.lambda_grid = [1e-3, 1]\nexp3.rho_grid = [0.5, 1]\n")
-        sec = getattr(parse_config(str(p)), section)
+        cfg = parse_config(str(p))
+        sec = cfg if section == "run" else getattr(cfg, section)
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(sec, key, getattr(sec, key))
         if key.endswith("_grid"):
             # normalized at construction into a tuple of plain floats
             grid = sec.__dict__[key]
             assert type(grid) is tuple and all(type(v) is float for v in grid)
+
+    @pytest.mark.parametrize("section,key,bad", [
+        (sec, f.name, bad) for sec, cls in _SECTIONS.items() for f in dataclasses.fields(cls)
+        if f.type in (float, tuple) for bad in (np.nan, np.inf)])
+    def test_every_float_field_must_be_finite(self, section, key, bad):
+        default = getattr(RunConfig(), section).__dict__[key]
+        # a tuple field gets the bad value in its first place
+        value = [bad, *default[1:]] if isinstance(default, tuple) else bad
+        with pytest.raises(InvalidConfigError, match=rf"\[{section}\] .*{key} must be finite"):
+            build_run_config({section: {key: value}})
+
+    @pytest.mark.parametrize("section", _SECTIONS)
+    def test_bound_declarations_stay_out_of_metadata(self, section):
+        # POSITIVE/NONNEGATIVE are class attributes: *.meta.json echoes
+        # cfg.__dict__, which must hold the dataclass fields and nothing else
+        sec = getattr(RunConfig(), section)
+        assert set(vars(sec)) == {f.name for f in dataclasses.fields(sec)}
+        declared = getattr(sec, "POSITIVE", ()) + getattr(sec, "NONNEGATIVE", ())
+        assert set(declared) <= set(vars(sec))
 
     def test_resolved_echoes_every_default(self):
         resolved = parse_config(None).resolved()
@@ -93,6 +117,11 @@ class TestParseConfig:
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def _config_error(subcommand, config, name):
+    """An exit-code table row whose config is rejected when it is read."""
+    return pytest.param(subcommand, config, False, 2, "config-error", id=name)
 
 
 class TestCLI:
@@ -236,62 +265,73 @@ class TestCLI:
         assert err["kind"] == "IntegrationDivergedError"
 
     @pytest.mark.parametrize("subcommand,config,out_is_file,code,error", [
-        ("checks", "[checks]\ntur_walkers = 1\n", False, 2, "config-error"),
-        ("checks", "[checks]\nclassical_trials = 1\n", False, 2, "config-error"),
-        ("erasure", "[erasure]\ntrials = 1\n", False, 2, "config-error"),
-        ("bitflip", "[bitflip]\ntrials = 1\n", False, 2, "config-error"),
-        ("gates", "[gates]\npulse_amplitude = 3.0\n", False, 2, "config-error"),
-        ("monitor", "", True, 2, "bad-output-dir"),
-        ("exp1", "[exp1]\nridge = -1\n", False, 2, "config-error"),
-        ("exp3", "[exp3]\nridge = -1\n", False, 2, "config-error"),
-        ("exp4", "[exp4]\nstride = 0\n", False, 2, "config-error"),
-        ("exp4", "[exp4]\npatch = 0\n", False, 2, "config-error"),
-        ("exp4", "[exp4]\nbins = 0\n", False, 2, "config-error"),
-        ("exp4", "[exp4]\nframe_every = 0\n", False, 2, "config-error"),
-        ("exp4", "[exp4]\nheight = 4\nwidth = 4\n", False, 2, "config-error"),
-        ("monitor", "[monitor]\nchi_min = 5\nchi_max = 1\n", False, 2, "config-error"),
-        ("monitor", "[monitor]\nP_max = 0\n", False, 2, "config-error"),
-        ("bitflip", "[bitflip]\ndt = 0\n", False, 2, "config-error"),
-        ("bitflip", "[bitflip]\nsnapshots = 0\n", False, 2, "config-error"),
-        ("bitflip", "[bitflip]\nhist_bins = 0\n", False, 2, "config-error"),
-        ("bitflip", "[bitflip]\ndurations = [0.0, 10.0]\n", False, 2, "config-error"),
-        ("erasure", "[erasure]\nT_protocol = 0\n", False, 2, "config-error"),
-        ("exp1", "[exp1]\ndim = 0\nrot_pairs = 0\n", False, 2, "config-error"),
-        ("exp3", "[exp3]\nn_reservoir = 0\n", False, 2, "config-error"),
-        ("exp1", "[exp1]\ndt = 0\n", False, 2, "config-error"),
-        ("exp1", "[exp1]\ndt = -0.1\n", False, 2, "config-error"),
-        ("exp1", "[exp1]\nalpha = 0\n", False, 2, "config-error"),
-        ("exp2", "[exp2]\ndt = 0\n", False, 2, "config-error"),
-        ("exp2", "[exp2]\nhorizon = 0\n", False, 2, "config-error"),
-        ("exp2", "[exp2]\nalpha = 0\n", False, 2, "config-error"),
-        ("exp3", "[exp3]\nperiods = [0]\n", False, 2, "config-error"),
-        ("checks", "[checks]\nnear_eq_ratio = -1\n", False, 2, "config-error"),
-        ("checks", "[checks]\nclassical_T = 0\n", False, 2, "config-error"),
-        ("bitflip", "[bitflip]\nD = 0\n", False, 2, "config-error"),
-        ("erasure", "[erasure]\nD = 0\n", False, 2, "config-error"),
-        ("exp3", "[exp3]\namps = [1.0]\n", False, 2, "config-error"),
-        ("exp1", "[exp1]\nrot_pairs = -1\n", False, 2, "config-error"),
-        ("exp1", "[exp1]\nfreq_low = 50\n", False, 2, "config-error"),
-        ("exp1", "[exp1]\nk_lags = 0\n", False, 2, "config-error"),
-        ("exp1", "[exp1]\ninput_noise = nan\n", False, 2, "config-error"),
-        ("exp1", "[exp1]\nstate_noise = nan\n", False, 2, "config-error"),
-        ("exp1", "[exp1]\nstate_noise = -0.01\n", False, 2, "config-error"),
-        ("exp2", "[exp2]\nbits = -1\n", False, 2, "config-error"),
-        ("exp2", "[exp2]\ngamma = -1\n", False, 2, "config-error"),
-        ("exp2", "[exp2]\nfreqs = [0, 1.0]\n", False, 2, "config-error"),
-        ("exp2", "[exp2]\nfreqs = [inf]\n", False, 2, "config-error"),
-        ("exp2", "[exp2]\ncouple = nan\n", False, 2, "config-error"),
-    ], ids=["tur_walkers", "classical_trials", "erasure_trials", "bitflip_trials",
-            "pulse_amplitude", "out_is_file", "exp1_ridge", "exp3_ridge", "exp4_stride",
-            "exp4_patch", "exp4_bins", "exp4_frame_every", "exp4_patch_exceeds_lattice",
-            "monitor_chi_range", "monitor_P_max", "bitflip_dt", "bitflip_snapshots",
-            "bitflip_hist_bins", "bitflip_durations", "erasure_T_protocol", "exp1_dim",
-            "exp3_n_reservoir", "exp1_dt", "exp1_dt_negative", "exp1_alpha", "exp2_dt",
-            "exp2_horizon", "exp2_alpha", "exp3_periods", "checks_near_eq_ratio",
-            "checks_classical_T", "bitflip_D", "erasure_D", "exp3_amps_periods",
-            "exp1_rot_pairs", "exp1_freq_range", "exp1_k_lags", "exp1_input_noise_nan",
-            "exp1_state_noise_nan", "exp1_state_noise_negative", "exp2_bits", "exp2_gamma",
-            "exp2_freqs_zero", "exp2_freqs_inf", "exp2_couple_nan"])
+        _config_error("checks", "[checks]\ntur_walkers = 1\n", "tur_walkers"),
+        _config_error("checks", "[checks]\nclassical_trials = 1\n", "classical_trials"),
+        _config_error("erasure", "[erasure]\ntrials = 1\n", "erasure_trials"),
+        _config_error("bitflip", "[bitflip]\ntrials = 1\n", "bitflip_trials"),
+        _config_error("gates", "[gates]\npulse_amplitude = 3.0\n", "pulse_amplitude"),
+        pytest.param("monitor", "", True, 2, "bad-output-dir", id="out_is_file"),
+        _config_error("exp1", "[exp1]\nridge = -1\n", "exp1_ridge"),
+        _config_error("exp3", "[exp3]\nridge = -1\n", "exp3_ridge"),
+        _config_error("exp4", "[exp4]\nstride = 0\n", "exp4_stride"),
+        _config_error("exp4", "[exp4]\npatch = 0\n", "exp4_patch"),
+        _config_error("exp4", "[exp4]\nbins = 0\n", "exp4_bins"),
+        _config_error("exp4", "[exp4]\nframe_every = 0\n", "exp4_frame_every"),
+        _config_error("exp4", "[exp4]\nheight = 4\nwidth = 4\n", "exp4_patch_exceeds_lattice"),
+        _config_error("monitor", "[monitor]\nchi_min = 5\nchi_max = 1\n", "monitor_chi_range"),
+        _config_error("monitor", "[monitor]\nP_max = 0\n", "monitor_P_max"),
+        _config_error("bitflip", "[bitflip]\ndt = 0\n", "bitflip_dt"),
+        _config_error("bitflip", "[bitflip]\nsnapshots = 0\n", "bitflip_snapshots"),
+        _config_error("bitflip", "[bitflip]\nhist_bins = 0\n", "bitflip_hist_bins"),
+        _config_error("bitflip", "[bitflip]\ndurations = [0.0, 10.0]\n", "bitflip_durations"),
+        _config_error("erasure", "[erasure]\nT_protocol = 0\n", "erasure_T_protocol"),
+        _config_error("exp1", "[exp1]\ndim = 0\nrot_pairs = 0\n", "exp1_dim"),
+        _config_error("exp3", "[exp3]\nn_reservoir = 0\n", "exp3_n_reservoir"),
+        _config_error("exp1", "[exp1]\ndt = 0\n", "exp1_dt"),
+        _config_error("exp1", "[exp1]\ndt = -0.1\n", "exp1_dt_negative"),
+        _config_error("exp1", "[exp1]\nalpha = 0\n", "exp1_alpha"),
+        _config_error("exp2", "[exp2]\ndt = 0\n", "exp2_dt"),
+        _config_error("exp2", "[exp2]\nhorizon = 0\n", "exp2_horizon"),
+        _config_error("exp2", "[exp2]\nalpha = 0\n", "exp2_alpha"),
+        _config_error("exp3", "[exp3]\nperiods = [0]\n", "exp3_periods"),
+        _config_error("checks", "[checks]\nnear_eq_ratio = -1\n", "checks_near_eq_ratio"),
+        _config_error("checks", "[checks]\nclassical_T = 0\n", "checks_classical_T"),
+        _config_error("bitflip", "[bitflip]\nD = 0\n", "bitflip_D"),
+        _config_error("erasure", "[erasure]\nD = 0\n", "erasure_D"),
+        _config_error("exp3", "[exp3]\namps = [1.0]\n", "exp3_amps_periods"),
+        _config_error("exp1", "[exp1]\nrot_pairs = -1\n", "exp1_rot_pairs"),
+        _config_error("exp1", "[exp1]\nfreq_low = 50\n", "exp1_freq_range"),
+        _config_error("exp1", "[exp1]\nk_lags = 0\n", "exp1_k_lags"),
+        _config_error("exp1", "[exp1]\ninput_noise = nan\n", "exp1_input_noise_nan"),
+        _config_error("exp1", "[exp1]\nstate_noise = nan\n", "exp1_state_noise_nan"),
+        _config_error("exp1", "[exp1]\nstate_noise = -0.01\n", "exp1_state_noise_negative"),
+        _config_error("exp2", "[exp2]\nbits = -1\n", "exp2_bits"),
+        _config_error("exp2", "[exp2]\ngamma = -1\n", "exp2_gamma"),
+        _config_error("exp2", "[exp2]\nfreqs = [0, 1.0]\n", "exp2_freqs_zero"),
+        _config_error("exp2", "[exp2]\nfreqs = [inf]\n", "exp2_freqs_inf"),
+        _config_error("exp2", "[exp2]\ncouple = nan\n", "exp2_couple_nan"),
+        _config_error("exp4", "[exp4]\neccentricity = 0\n", "exp4_eccentricity_zero"),
+        _config_error("exp4", "[exp4]\nnoise_amp = 2\n", "exp4_noise_amp"),
+        _config_error("bitflip", "[bitflip]\nC_max = nan\n", "bitflip_C_max_nan"),
+        _config_error("bitflip", "[bitflip]\ndurations = [inf]\n", "bitflip_durations_inf"),
+        _config_error("exp1", "[exp1]\nridge = nan\n", "exp1_ridge_nan"),
+        _config_error("exp1", "[exp1]\namp1 = nan\n", "exp1_amp1_nan"),
+        _config_error("exp1", "[exp1]\nomega1 = inf\n", "exp1_omega1_inf"),
+        _config_error("exp1", "[exp1]\nlambda_grid = [0.01, inf]\n", "exp1_lambda_grid_inf"),
+        _config_error("exp2", "[exp2]\nosc_noise = nan\n", "exp2_osc_noise_nan"),
+        _config_error("exp2", "[exp2]\nobs_noise = -1\n", "exp2_obs_noise_negative"),
+        _config_error("exp2", "[exp2]\nhyst_frac = -0.1\n", "exp2_hyst_frac_negative"),
+        _config_error("exp2", "[exp2]\namp = 0\n", "exp2_amp_zero"),
+        _config_error("exp2", "[exp2]\nfreqs = [1.0, 1.0]\n", "exp2_freqs_duplicate"),
+        _config_error("exp3", "[exp3]\nrho_grid = [0.5, inf]\n", "exp3_rho_grid_inf"),
+        _config_error("exp4", "[exp4]\neps = 0\n", "exp4_eps_zero"),
+        _config_error("monitor", "[monitor]\nwindow = 0\n", "monitor_window_zero"),
+        _config_error("monitor", "[monitor]\nsteps = 0\n", "monitor_steps_zero"),
+        _config_error("monitor", "[monitor]\ndt = -1\n", "monitor_dt_negative"),
+        _config_error("monitor", "[monitor]\nlam = nan\n", "monitor_lam_nan"),
+        _config_error("checks", "[checks]\ntight_snrs = [-1]\n", "checks_tight_snrs_negative"),
+        _config_error("exp3", "[exp3]\namps = [a, 1, 2]\n", "exp3_amps_text"),
+    ])
     def test_exit_code_table(self, tmp_path, capsys, subcommand, config, out_is_file, code, error):
         # each failure ends in its documented code with one JSON line on
         # stderr; an exception escaping main fails the test
