@@ -9,7 +9,7 @@ bit-flip and erasure protocols, with full work/heat/entropy bookkeeping.
 """
 
 from dataclasses import dataclass, field, fields
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -17,8 +17,8 @@ from . import kernels
 from .errors import BoundaryStateError, IntegrationDivergedError, InvalidConfigError, check_fields
 from .numerics import SeededRng, Trajectory
 
-#: sentinel returned by classifiers for separatrix-band states
-BOUNDARY = "__boundary__"
+#: label index of separatrix-band states
+BOUNDARY = -1
 BAND_FRAC = 0.05              # double-well boundary band, fraction of the well separation
 FREE_ENERGY_HALF_WIDTH = 4.0  # free-energy grid half-width, in units of the well scale
 FREE_ENERGY_GRID_POINTS = 8001
@@ -71,57 +71,66 @@ class IrreversibilityLedger:
 
 @dataclass
 class EncodingSpace:
-    """Finite label set with a deterministic basin classifier.
-
-    `classify(p, c)` maps (physical state, control) to a label or BOUNDARY.
-    """
+    """Two labels on either side of a separatrix band [lo, hi] of one scalar
+    coordinate. Label changes cost alpha * ln 2 each."""
 
     labels: tuple
-    classify: Callable
+    lo: float
+    hi: float
     alpha: float = 1.0
     priors: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.labels = tuple(self.labels)
+        if len(self.labels) != 2:
+            raise ValueError(f"an encoding space has two labels, got {self.labels!r}")
+        if not self.lo <= self.hi:
+            raise ValueError(f"band needs lo <= hi, got [{self.lo}, {self.hi}]")
         if self.priors is None:
-            self.priors = np.full(len(self.labels), 1.0 / len(self.labels))
+            self.priors = np.full(2, 0.5)
         self.priors = np.asarray(self.priors, dtype=float)
         if np.any(self.priors < 0) or abs(self.priors.sum() - 1.0) > 1e-12:
             raise ValueError("priors must be nonnegative and sum to 1")
-        if len(self.priors) != len(self.labels):
+        if len(self.priors) != 2:
             raise ValueError("priors length must match labels")
 
+    def classify(self, v):
+        """Label index per coordinate: 0 below lo, 1 above hi, BOUNDARY in
+        the band and for NaN."""
+        v = np.asarray(v, dtype=float)
+        return np.where(v < self.lo, 0, np.where(v > self.hi, 1, BOUNDARY))
 
-def classify_basin(space: EncodingSpace, p, c=0.0):
-    """Label whose basin contains p under control c; separatrix-band states
-    raise BoundaryStateError so callers choose hold-previous vs reject."""
-    lab = space.classify(p, c)
-    if lab == BOUNDARY:
+
+def classify_basin(space: EncodingSpace, p):
+    """Label whose basin contains p; separatrix-band states raise
+    BoundaryStateError so callers choose hold-previous vs reject."""
+    idx = int(space.classify(p))
+    if idx == BOUNDARY:
         raise BoundaryStateError(f"state {p} lies in the declared boundary band")
-    if lab not in space.labels:
-        raise ValueError(f"classifier returned unknown label {lab!r}")
-    return lab
+    return space.labels[idx]
 
 
 def make_double_well_space(a=1.0, b=2.0, alpha=1.0, priors=(0.5, 0.5)):
-    """Two-label sign readout for the quartic double well a p^4 - b p^2.
-
-    The boundary band is BAND_FRAC * (well separation) around p = 0.
-    """
-    sep = 2.0 * np.sqrt(b / (2.0 * a))
-    band = BAND_FRAC * sep
-
-    def classify(p, c=0.0):
-        if p < -band:
-            return 0
-        if p > band:
-            return 1
-        return BOUNDARY
-
-    return EncodingSpace(labels=(0, 1), classify=classify, alpha=alpha, priors=np.asarray(priors))
+    """Two-label sign readout for the quartic double well a p^4 - b p^2."""
+    band = BAND_FRAC * (2.0 * np.sqrt(b / (2.0 * a)))
+    return EncodingSpace((0, 1), -band, band, alpha=alpha, priors=priors)
 
 
-def encoding_path_length(traj: Trajectory, space: EncodingSpace, controls=None,
+def label_jumps(idx, start=BOUNDARY):
+    """Hold-previous readout of label indices along axis 0, any trailing shape.
+
+    A BOUNDARY sample keeps the label before it (`start` before the first
+    sample); a change between two labels is a jump. Returns (held, jump_mask),
+    both shaped like idx."""
+    idx = np.asarray(idx)
+    col = np.concatenate([np.broadcast_to(start, (1,) + idx.shape[1:]), idx])
+    at = np.arange(len(col)).reshape((-1,) + (1,) * (idx.ndim - 1))
+    seen = np.maximum.accumulate(np.where(col != BOUNDARY, at, 0), axis=0)
+    held = np.take_along_axis(col, seen, axis=0)
+    return held[1:], (held[1:] != held[:-1]) & (held[:-1] != BOUNDARY)
+
+
+def encoding_path_length(traj: Trajectory, space: EncodingSpace,
                          ledger: Optional[IrreversibilityLedger] = None):
     """Count label changes along a trajectory (scalar state = first coordinate).
 
@@ -134,22 +143,11 @@ def encoding_path_length(traj: Trajectory, space: EncodingSpace, controls=None,
         raise ValueError("trajectory must be nonempty")
     if ledger is None:
         ledger = IrreversibilityLedger()
-    if controls is None:
-        controls = np.zeros(len(traj.times))
-    controls = np.broadcast_to(np.asarray(controls, dtype=float), (len(traj.times),))
-    current = None
-    count = 0
-    for t, x, c in zip(traj.times, traj.states, controls):
-        lab = space.classify(float(x[0]), float(c))
-        if lab == BOUNDARY:
-            continue
-        if current is None:
-            current = lab
-        elif lab != current:
-            ledger.append(t, "jump", space.alpha * np.log(2.0), (current,), (lab,))
-            current = lab
-            count += 1
-    return count, ledger
+    held, jump = label_jumps(space.classify(traj.states[:, 0]))
+    for k in np.flatnonzero(jump):
+        ledger.append(traj.times[k], "jump", space.alpha * np.log(2.0),
+                      (space.labels[held[k - 1]],), (space.labels[held[k]],))
+    return int(np.count_nonzero(jump)), ledger
 
 
 def preserved_information(ledger: IrreversibilityLedger, space: EncodingSpace, horizon):
@@ -342,7 +340,7 @@ def _run_protocol(params: DoubleWellParams, schedule, T_protocol, trials, rng: S
 
     dU_trial = params.potential(p, schedule[-1]) - params.potential(p0, schedule[0])
     heat_trial = work - dU_trial
-    labels_T = np.array([space.classify(v, schedule[-1]) == 1 for v in p])
+    labels_T = space.classify(p) == 1
 
     # the label-0 basin ceases to exist once the tilt passes the spinodal
     # point; that instant is the (single) merge event of these protocols

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cce import BOUNDARY, EncodingSpace, IrreversibilityLedger
+from .cce import EncodingSpace, IrreversibilityLedger
 from .errors import (
     AmbiguousStateError,
     InvalidGateParamsError,
@@ -466,18 +466,9 @@ FLIPFLOP_BAND = 0.1  # |x_A - x_B| at or below this stores no bit
 
 
 def flipflop_space(alpha=1.0) -> EncodingSpace:
-    """Two-label encoding over the cross-coupled pair: sign of x_A - x_B with a
-    small undecided band."""
-
-    def classify(x, c=0.0):
-        d = x[0] - x[1] if np.ndim(x) else x
-        if d > FLIPFLOP_BAND:
-            return 1
-        if d < -FLIPFLOP_BAND:
-            return 0
-        return BOUNDARY
-
-    return EncodingSpace(labels=(0, 1), classify=classify, alpha=alpha)
+    """Two-label encoding over the cross-coupled pair, read on x_A - x_B: the
+    sign, with a small undecided band."""
+    return EncodingSpace((0, 1), -FLIPFLOP_BAND, FLIPFLOP_BAND, alpha=alpha)
 
 
 def read_stored_bit(circuit, x, readout):

@@ -14,6 +14,7 @@ artifact excluded from the byte-identity guarantee.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -224,11 +225,9 @@ def _checks_rows(cfg: RunConfig, seed, threads=1):
         chan = logistic_mean_channel(level=gen.uniform(0.5, 3.0), slope=gen.uniform(0.5, 3.0),
                                      center=gen.uniform(-1.0, 1.0), sigma=gen.uniform(0.3, 1.5),
                                      name=f"logistic_{k:02d}")
-        if cc.channel_preset == "corrupted":
-            chan.score_scale = 0.3
+        chan.score_scale = score_scale
         atoms = np.array([gen.uniform(-2.0, 0.0), gen.uniform(0.0, 2.0)])
-        reps = np.repeat(atoms, [1, 1])
-        r = trace_bound_check(chan, reps)
+        r = trace_bound_check(chan, atoms)
         rows.append({"name": f"trace_bound_{chan.name}", "lhs": r["c_t"], "rhs": r["half_trace_G"],
                      "satisfied": r["satisfied"], "slack": r["half_trace_G"] - r["c_t"], "seed": seed})
 
@@ -311,6 +310,8 @@ def main(argv=None):
     start = time.time()
     try:
         cfg = parse_config(args.config)
+        if args.seed is not None:
+            cfg = dataclasses.replace(cfg, seed=args.seed)
     except FileNotFoundError as exc:
         print(json.dumps({"error": "config-not-found", "detail": str(exc)}), file=sys.stderr)
         return EXIT_CONFIG
@@ -318,7 +319,7 @@ def main(argv=None):
         print(json.dumps({"error": "config-error", "detail": str(exc)}), file=sys.stderr)
         return EXIT_CONFIG
 
-    seed = args.seed if args.seed is not None else cfg.seed
+    seed = cfg.seed
     out = args.out or os.path.join("runs", args.subcommand)
     try:
         os.makedirs(out, exist_ok=True)

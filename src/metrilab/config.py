@@ -185,6 +185,11 @@ class RunConfig:
     checks: ChecksConfig = field(default_factory=ChecksConfig)
     monitor: MonitorConfig = field(default_factory=MonitorConfig)
 
+    NONNEGATIVE = ("seed",)
+
+    def __post_init__(self):
+        check_fields(self)
+
     def resolved(self):
         """Every parameter in force, defaults included."""
         return jsonable(dataclasses.asdict(self))

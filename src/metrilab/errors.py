@@ -55,8 +55,9 @@ def check_fields(cfg):
             raise InvalidConfigError(f"{name} must be {rule}, got {value!r}", key=name)
 
 
-class InvalidGateParamsError(MetrilabError):
-    """Gate parameters outside the verified bistability/monostability regime."""
+class InvalidGateParamsError(InvalidConfigError):
+    """Gate parameters outside the verified bistability/monostability regime;
+    they come from `[gates]`, so this is a configuration error."""
 
 
 class NoSettleError(MetrilabError):

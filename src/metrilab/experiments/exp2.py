@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..cce import BOUNDARY, EncodingSpace, encoding_path_length
+from ..cce import EncodingSpace, encoding_path_length
 from ..errors import InvalidConfigError, check_fields
 from ..numerics import SeededRng, Trajectory
 from .base import ExperimentResult
@@ -241,14 +241,7 @@ def lock_label_trajectory(cfg: Exp2Config, omega_in, seed):
         # scale partial windows up so early samples use the same threshold units
         progress[s] = abs(psi[s] - psi[lo]) * (LOCK_WINDOW_TIME / span) if span > 0 else np.inf
 
-    def classify(v, c=0.0):
-        if v < LOCK_RAD:
-            return "lock"
-        if v > DRIFT_RAD:
-            return "drift"
-        return BOUNDARY
-
-    space = EncodingSpace(labels=("lock", "drift"), classify=classify, alpha=cfg.alpha)
+    space = EncodingSpace(("lock", "drift"), LOCK_RAD, DRIFT_RAD, alpha=cfg.alpha)
     traj = Trajectory(cfg.dt * np.arange(steps), progress[:, None])
     return traj, space
 

@@ -12,8 +12,8 @@ from typing import Optional
 
 import numpy as np
 
+from .cce import label_jumps
 from .circuits import (
-    FLIPFLOP_BAND,
     CircuitGraph,
     LogicalReadout,
     flipflop_space,
@@ -400,13 +400,9 @@ def recovery_probe(circuit: CircuitGraph, x_base, delta, T, trials, rng: SeededR
             r = delta * gen.uniform() ** (1.0 / n)
             x0[k] = x_base + r * direction
     traj = integrate_circuit(circuit, {"set": 0.0, "reset": 0.0}, x0, T, dt=readout.dt)
-    # side of the band per (step, trial), -1 inside it; a band sample keeps
-    # the side before it, starting from the base bit
-    d = traj[:, :, 0] - traj[:, :, 1]
-    side = np.vstack([np.full(trials, base_bit),
-                      np.where(d > FLIPFLOP_BAND, 1, np.where(d < -FLIPFLOP_BAND, 0, -1))])
-    seen = np.maximum.accumulate(np.where(side >= 0, np.arange(len(side))[:, None], 0), axis=0)
-    jumps = np.count_nonzero(np.diff(np.take_along_axis(side, seen, axis=0), axis=0), axis=0)
+    # a band sample keeps the label before it, starting from the base bit
+    _, jump = label_jumps(space.classify(traj[:, :, 0] - traj[:, :, 1]), start=base_bit)
+    jumps = np.count_nonzero(jump, axis=0)
     entropy = sum(j * space.alpha * np.log(2.0) for j in jumps.tolist())
     recovered = 0
     for x_final in traj[-1]:

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from metrilab.cce import (
+    BOUNDARY,
     DoubleWellParams,
+    EncodingSpace,
     IrreversibilityLedger,
     classify_basin,
     encoding_path_length,
+    label_jumps,
     landauer_bound,
     make_double_well_space,
     merge_entropy,
@@ -13,8 +16,41 @@ from metrilab.cce import (
     simulate_bitflip,
     simulate_erasure,
 )
+from metrilab.circuits import FLIPFLOP_BAND, flipflop_space
 from metrilab.errors import BoundaryStateError, InvalidConfigError
+from metrilab.experiments.exp2 import DRIFT_RAD, LOCK_RAD, Exp2Config, lock_label_trajectory
 from metrilab.numerics import SeededRng, Trajectory
+
+OLD_BOUNDARY = "__boundary__"
+
+
+def band_closure(lo, hi, below, above):
+    # a classifier closure as each encoding once wrote it: strict comparisons
+    # against the band edges, the band and NaN reading the boundary sentinel
+    def classify(v):
+        if v < lo:
+            return below
+        if v > hi:
+            return above
+        return OLD_BOUNDARY
+
+    return classify
+
+
+def path_length_loop(times, values, classify, alpha):
+    # the per-sample hold-previous loop encoding_path_length used to run
+    ledger = IrreversibilityLedger()
+    current, count = None, 0
+    for t, v in zip(times, values):
+        lab = classify(float(v))
+        if lab == OLD_BOUNDARY:
+            continue
+        if current is None:
+            current = lab
+        elif lab != current:
+            ledger.append(t, "jump", alpha * np.log(2.0), (current,), (lab,))
+            current, count = lab, count + 1
+    return count, ledger
 
 
 class TestMergeEntropy:
@@ -41,6 +77,21 @@ class TestMergeEntropy:
             merge_entropy([0.2, 0.2])
 
 
+def _double_well_band():
+    return 0.05 * 2.0 * np.sqrt(2.0 / 2.0)
+
+
+def _spaces():
+    """(space, old closure fed the same scalar coordinate) for each encoding."""
+    band = _double_well_band()
+    return [
+        (make_double_well_space(), band_closure(-band, band, 0, 1)),
+        (flipflop_space(), band_closure(-FLIPFLOP_BAND, FLIPFLOP_BAND, 0, 1)),
+        (lock_label_trajectory(Exp2Config(horizon=0.05), 1.0, 0)[1],
+         band_closure(LOCK_RAD, DRIFT_RAD, "lock", "drift")),
+    ]
+
+
 class TestClassify:
     def test_sign_readout(self):
         space = make_double_well_space()
@@ -51,6 +102,65 @@ class TestClassify:
         space = make_double_well_space()
         with pytest.raises(BoundaryStateError):
             classify_basin(space, 0.0)
+
+    @pytest.mark.parametrize("which", range(3), ids=["double_well", "flipflop", "lock"])
+    def test_matches_old_closure_at_edges(self, which):
+        space, old = _spaces()[which]
+        lo, hi = space.lo, space.hi
+        probes = [lo, hi, -lo, -hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf),
+                  0.5 * (lo + hi), np.inf, -np.inf, np.nan, 0.0, -0.0]
+        got = space.classify(probes)
+        assert got.shape == (len(probes),)
+        for v, idx in zip(probes, got.tolist()):
+            want = old(v)
+            assert (idx == BOUNDARY) if want == OLD_BOUNDARY else (space.labels[idx] == want), v
+            assert int(space.classify(v)) == idx
+
+    def test_boundary_is_minus_one(self):
+        assert BOUNDARY == -1
+        assert int(make_double_well_space().classify(np.nan)) == -1
+
+
+class TestEncodingSpace:
+    def test_rejects_three_labels(self):
+        with pytest.raises(ValueError):
+            EncodingSpace((0, 1, 2), -0.1, 0.1)
+
+    def test_rejects_inverted_band(self):
+        with pytest.raises(ValueError):
+            EncodingSpace((0, 1), 0.2, 0.1)
+        with pytest.raises(ValueError):
+            EncodingSpace((0, 1), np.nan, 0.1)
+
+    @pytest.mark.parametrize("priors", [(0.7, 0.7), (-0.5, 1.5), (0.5, 0.25, 0.25)])
+    def test_rejects_bad_priors(self, priors):
+        with pytest.raises(ValueError):
+            EncodingSpace((0, 1), -0.1, 0.1, priors=priors)
+
+    def test_empty_band_allowed(self):
+        space = EncodingSpace((0, 1), 0.0, 0.0)
+        assert space.classify([-1e-300, 0.0, 1e-300]).tolist() == [0, BOUNDARY, 1]
+        assert space.priors.tolist() == [0.5, 0.5]
+
+
+class TestLabelJumps:
+    def test_hold_previous_from_start(self):
+        held, jump = label_jumps([BOUNDARY, 1, BOUNDARY, 0, 0, BOUNDARY, 1])
+        assert held.tolist() == [BOUNDARY, 1, 1, 0, 0, 0, 1]
+        assert jump.tolist() == [False, False, False, True, False, False, True]
+
+    def test_start_label_counts_first_change(self):
+        _, jump = label_jumps([BOUNDARY, 1, 1], start=0)
+        assert jump.tolist() == [False, True, False]
+
+    def test_columns_are_independent(self):
+        gen = SeededRng(4).generator()
+        idx = gen.integers(-1, 2, size=(50, 3, 4))
+        held, jump = label_jumps(idx, start=1)
+        for i in range(3):
+            for j in range(4):
+                h, m = label_jumps(idx[:, i, j], start=1)
+                assert np.array_equal(held[:, i, j], h) and np.array_equal(jump[:, i, j], m)
 
 
 class TestPathLength:
@@ -80,6 +190,37 @@ class TestPathLength:
         c1, _ = encoding_path_length(self.traj(vals), space)
         c2, _ = encoding_path_length(self.traj(np.repeat(vals, 3)), space)
         assert c1 == c2
+
+    def test_matches_per_sample_loop(self):
+        # band chatter: runs of well states, band states, NaN and infinities
+        band = _double_well_band()
+        pool = np.array([-1.0, 1.0, -band, band, 0.0, 0.5 * band, -2 * band, 2 * band,
+                         np.nan, np.inf, -np.inf])
+        space = make_double_well_space(alpha=1.7)
+        old = band_closure(-band, band, 0, 1)
+        for seed in range(300):
+            gen = SeededRng(seed).generator()
+            n = int(gen.integers(1, 200))
+            values = np.repeat(pool[gen.integers(0, len(pool), n)], gen.integers(1, 4, n))
+            values = values + np.where(gen.uniform(size=len(values)) < 0.2,
+                                       gen.normal(0.0, band, len(values)), 0.0)
+            traj = self.traj(values, dt=0.01)
+            count, ledger = encoding_path_length(traj, space)
+            ref_count, ref = path_length_loop(traj.times, values, old, 1.7)
+            assert count == ref_count == len(ledger), seed
+            assert ledger.entries == ref.entries, seed
+
+    @pytest.mark.parametrize("omega_in,seed", [(0.55, 5), (0.7, 0), (1.0, 0)])
+    def test_lock_runs_match_per_sample_loop(self, omega_in, seed):
+        # three, three and no lock/drift jumps at the default horizon
+        cfg = Exp2Config()
+        traj, space = lock_label_trajectory(cfg, omega_in, seed)
+        count, ledger = encoding_path_length(traj, space)
+        ref_count, ref = path_length_loop(traj.times, traj.states[:, 0],
+                                          band_closure(LOCK_RAD, DRIFT_RAD, "lock", "drift"),
+                                          cfg.alpha)
+        assert count == ref_count
+        assert ledger.entries == ref.entries
 
     def test_ledger_cumulative_is_sum(self):
         space = make_double_well_space()

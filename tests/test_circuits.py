@@ -273,7 +273,7 @@ def reference_recovery(circuit, x_base, delta, T, trials, rng, readout):
             x0 = x_base + delta * gen.uniform() ** (1.0 / n) * direction
         traj = reference_integrate(circuit, {"set": 0.0, "reset": 0.0}, x0, T, readout.dt)
         prev, jumps = base_bit, 0
-        for lab in (space.classify(row[:2]) for row in traj):
+        for lab in (space.classify(row[0] - row[1]) for row in traj):
             if lab != BOUNDARY and lab != prev:
                 jumps, prev = jumps + 1, lab
         entropy += jumps * space.alpha * np.log(2.0)

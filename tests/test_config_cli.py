@@ -331,16 +331,21 @@ class TestCLI:
         _config_error("monitor", "[monitor]\nlam = nan\n", "monitor_lam_nan"),
         _config_error("checks", "[checks]\ntight_snrs = [-1]\n", "checks_tight_snrs_negative"),
         _config_error("exp3", "[exp3]\namps = [a, 1, 2]\n", "exp3_amps_text"),
+        _config_error("gates", "[run]\nseed = -5\n", "run_seed_negative"),
+        _config_error("exp2 --seed -1", "", "cli_seed_negative"),
+        _config_error("gates", "[gates]\ntheta_and = 5.0\n", "gates_theta_and"),
     ])
     def test_exit_code_table(self, tmp_path, capsys, subcommand, config, out_is_file, code, error):
         # each failure ends in its documented code with one JSON line on
-        # stderr; an exception escaping main fails the test
+        # stderr; an exception escaping main fails the test. `subcommand`
+        # may carry extra arguments after the name.
         cfg = tmp_path / "c.cfg"
         cfg.write_text(config)
         out = tmp_path / "out"
         if out_is_file:
             out.write_text("not a directory\n")
-        assert run_cli(subcommand, "--config", str(cfg), "--out", str(out), "--quiet") == code
+        argv = [*subcommand.split(), "--config", str(cfg), "--out", str(out), "--quiet"]
+        assert run_cli(*argv) == code
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == error

@@ -1,8 +1,5 @@
 """External-surface contracts: loadable circuit text, truth-table CSV rows,
-per-trial CSV, frozen column orders, field dumps,
-and order-deterministic threaded sweeps."""
-
-import os
+per-trial CSV, field dumps, and order-deterministic threaded sweeps."""
 
 import numpy as np
 import pytest
@@ -11,8 +8,6 @@ from metrilab.cli import main as cli_main
 from metrilab.circuits import LogicalReadout, load_circuit, load_truth_table, verify_truth_table
 from metrilab.experiments import Exp1Config, Exp3Config, run_exp1, run_exp3
 from metrilab.metrics import MetricRecord, consciousness_record, intelligence_record
-
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 AND_TEXT = """
 circuit and-gate
@@ -64,21 +59,6 @@ class TestCircuitText:
     def test_truth_table_requires_expectations(self):
         with pytest.raises(ValueError):
             load_truth_table("in1,in2\n0,0\n")
-
-
-class TestGoldenColumns:
-    @pytest.mark.parametrize("name,header", [
-        ("exp1", "lambda,MC,I_irr_rate,chi"),
-        ("exp2", "substrate,accuracy,I_irr,chi"),
-        ("exp3", "rho,deltaE,C,chi"),
-        ("exp4", "t,mean_S,grad_corr,jaccard,neighbor_corr,total_energy"),
-        ("bitflip", "T_protocol,success_prob,work_total,heat_env,dU_sys,dS_sys,"
-                    "dissipated_work,work_std"),
-        ("checks", "name,lhs,rhs,satisfied,slack,seed"),
-    ])
-    def test_headers_match_golden_files(self, name, header):
-        golden = open(os.path.join(GOLDEN, f"{name}.header")).read().strip()
-        assert golden == header
 
 
 class TestPerTrialCSV:
