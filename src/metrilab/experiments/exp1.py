@@ -69,9 +69,10 @@ def lagged_r2(states, u, k_lags, ridge, n_skip):
     half = len(idx) // 2
     train, test = idx[:half], idx[half:]
     lags = np.arange(1, k_lags + 1)
+    # train and test are contiguous row ranges, so the states are read as views;
     # column k - 1 holds u[train - k], contiguous as a 1-D target would be
-    w = ridge_fit(states[train], u[train[None, :] - lags[:, None]].T, ridge)
-    X_test = states[test]
+    w = ridge_fit(states[n_skip : n_skip + half], u[train[None, :] - lags[:, None]].T, ridge)
+    X_test = states[n_skip + half : len(u)]
     r2 = np.zeros(k_lags)
     for k in lags:
         pred = X_test @ w[:, k - 1]

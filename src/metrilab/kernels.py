@@ -12,6 +12,12 @@ beside it, which tests/test_kernels.py runs as the oracle:
 and rotates all pairs in one pass; tests/test_kernels.py also keeps its
 earlier blockwise numpy form, which it equals bit for bit.
 
+`esn_collect` steps a stack of reservoirs that share one input and one noise
+sequence (exp3 passes four spectral radii at a time), so its per-step numpy
+calls are paid once per stack. Its loop oracle runs one reservoir, and
+tests/test_kernels.py keeps the earlier one-reservoir numpy form, which each
+stack item equals bit for bit.
+
 The lattice kernels take any window of a lattice: exp4 passes only the
 cells near its energy blob, and a zero cell with zero neighbors neither
 sends nor receives quanta, so the window's result equals the full lattice's
@@ -331,9 +337,30 @@ def _esn_collect_loops(W, win, y, leak, noise, states):
 
 
 def esn_collect(W, win, y, leak, noise, states):
-    """Collect leaky-tanh echo-state trajectories; states[t] = x_{t+1}."""
-    x = np.zeros(W.shape[0])
+    """Collect the leaky-tanh echo-state trajectories of a stack of reservoirs.
+
+    W is a (g, n, n) stack of weight matrices driven by one input `y` and one
+    noise sequence; states[i][t] = x_{t+1} of reservoir i, for a list of g
+    (T, n) arrays. Each step runs the g matrix-vector products in one matmul
+    call (one gemv per item, as `W[i] @ x` makes) and the update in place,
+    in the order (1 - leak) * x + leak * tanh(W x + win * y_t) + noise_t, so
+    each trajectory equals the one its matrix gives alone, bit for bit.
+    """
+    g, n = W.shape[0], W.shape[1]
+    x = np.zeros((g, n, 1))
+    pre = np.empty((g, n, 1))
+    drive = np.empty((n, 1))
+    win_col = win.reshape(n, 1)
+    noise_col = noise.reshape(noise.shape[0], n, 1)
     for t in range(y.shape[0]):
-        x = (1.0 - leak) * x + leak * np.tanh(W @ x + win * y[t]) + noise[t]
-        states[t] = x
+        np.matmul(W, x, out=pre)
+        np.multiply(win_col, y[t], out=drive)
+        pre += drive
+        np.tanh(pre, out=pre)
+        pre *= leak
+        x *= 1.0 - leak
+        x += pre
+        x += noise_col[t]
+        for i in range(g):
+            states[i][t] = x[i, :, 0]
     return states

@@ -7,6 +7,7 @@ isothermal power bound. Each check returns lhs/rhs values with a `satisfied`
 flag that allows for estimator noise.
 """
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -101,6 +102,20 @@ def emergence_index(chi_coupled, chi_separable):
 # current-fluctuation (precision-dissipation) check
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1)
+def _bootstrap_index(size):
+    """tur_check's (TUR_BOOTSTRAP, size) resample index, read-only.
+
+    It is drawn from a fixed seed, so it depends on the sample size alone, and
+    a sweep of equal-size ensembles draws it once. The cache holds one size:
+    a larger index kept past its last use would stay resident.
+    """
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(0xB007)))
+    idx = gen.integers(0, size, size=(TUR_BOOTSTRAP, size))
+    idx.flags.writeable = False
+    return idx
+
+
 def tur_check(current_samples, sigma_T):
     """Check Var(J_T)/E[J_T]^2 >= 2/Sigma_T (Sigma_T in nats) on currents.
 
@@ -118,9 +133,7 @@ def tur_check(current_samples, sigma_T):
         return {"lhs": np.inf, "rhs": rhs, "satisfied": True, "slack": np.inf,
                 "eps_stat": 0.0, "mean_zero": True}
     lhs = var / mean**2
-    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(0xB007)))
-    idx = gen.integers(0, j.size, size=(TUR_BOOTSTRAP, j.size))
-    boots = j[idx]
+    boots = j[_bootstrap_index(j.size)]
     bl = boots.var(axis=1, ddof=1) / boots.mean(axis=1) ** 2
     se = float(bl.std(ddof=1))
     eps = 3.0 * se / rhs if np.isfinite(rhs) and rhs > 0 else 0.0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,26 @@ FAST4 = Exp4Config(height=96, width=96, steps=120, radius=14.0, peak=150)
 @pytest.fixture(scope="module")
 def exp1_result():
     return run_exp1(FAST1, seed=0)
+
+
+def _lagged_r2_fancy(states, u, k_lags, ridge, n_skip):
+    # lagged_r2 as it read its train and test rows through index arrays
+    idx = np.arange(n_skip, len(u))
+    half = len(idx) // 2
+    train, test = idx[:half], idx[half:]
+    lags = np.arange(1, k_lags + 1)
+    w = ridge_fit(states[train], u[train[None, :] - lags[:, None]].T, ridge)
+    X_test = states[test]
+    r2 = np.zeros(k_lags)
+    for k in lags:
+        pred = X_test @ w[:, k - 1]
+        target = u[test - k]
+        sp, st = pred.std(), target.std()
+        if sp < 1e-300 or st < 1e-300:
+            continue
+        c = float(np.corrcoef(pred, target)[0, 1])
+        r2[k - 1] = min(max(c * c, 0.0), 1.0)
+    return r2
 
 
 class TestExp1:
@@ -89,6 +111,25 @@ class TestExp1:
             c = float(np.corrcoef(pred, u[test - k])[0, 1])
             expected[k - 1] = min(max(c * c, 0.0), 1.0)
         assert np.array_equal(lagged_r2(states, u, cfg.k_lags, cfg.ridge, n_skip), expected)
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    @pytest.mark.parametrize("steps", [1200, 1201])
+    def test_lagged_r2_row_ranges_equal_fancy_index(self, seed, steps):
+        # the train/test views select the rows the index arrays did, at an even
+        # and an odd number of readout rows
+        cfg = dataclasses.replace(FAST1, steps=steps)
+        base = SeededRng(seed)
+        omegas = base.derive(0).generator().uniform(cfg.freq_low, cfg.freq_high, cfg.rot_pairs)
+        bvec = base.derive(1).generator().standard_normal(cfg.dim)
+        bvec /= np.linalg.norm(bvec)
+        u = make_input(cfg, base.derive(2))
+        noise = 0.01 * base.derive(3).generator().standard_normal((cfg.steps, cfg.dim))
+        states = np.empty((cfg.steps, cfg.dim))
+        n_skip = 2 * cfg.k_lags
+        for lam in cfg.lambda_grid:
+            kernels.rotor_chunk(bvec.copy(), omegas, lam, bvec, u, noise, cfg.dt, states)
+            assert np.array_equal(lagged_r2(states, u, cfg.k_lags, cfg.ridge, n_skip),
+                                  _lagged_r2_fancy(states, u, cfg.k_lags, cfg.ridge, n_skip))
 
 
 @pytest.fixture(scope="module")

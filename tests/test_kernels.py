@@ -200,20 +200,59 @@ def test_rotor_equals_blockwise_form_bit_for_bit():
                                    0.05)
 
 
+def _esn_collect_single(W, win, y, leak, noise, states):
+    # the one-reservoir numpy form esn_collect had before it stepped a stack
+    x = np.zeros(W.shape[0])
+    for t in range(y.shape[0]):
+        x = (1.0 - leak) * x + leak * np.tanh(W @ x + win * y[t]) + noise[t]
+        states[t] = x
+    return states
+
+
 def test_esn_paths_agree():
     gen = np.random.default_rng(4)
     # (reservoir size, steps, weight scale): a small case, then exp3's
-    # 200-unit reservoir over 20 steps
+    # 200-unit reservoir over 20 steps; each runs a stack of three scalings
     for n, steps, scale in ((12, 40, 1.0), (200, 20, 1.0 / 200)):
-        W = scale * gen.uniform(-1, 1, (n, n))
+        W = np.array([0.5, 1.0, 1.5])[:, None, None] * (scale * gen.uniform(-1, 1, (n, n)))
         win = gen.uniform(-0.5, 0.5, n)
         y = gen.standard_normal(steps)
         nz = 0.01 * gen.standard_normal((steps, n))
-        ea = np.empty((steps, n))
-        eb = np.empty((steps, n))
-        K._esn_collect_loops(W, win, y, 0.3, nz, ea)
-        K.esn_collect(W, win, y, 0.3, nz, eb)
-        assert np.allclose(ea, eb, atol=1e-12)
+        eb = K.esn_collect(W, win, y, 0.3, nz, [np.empty((steps, n)) for _ in W])
+        for Wi, got in zip(W, eb):
+            ea = np.empty((steps, n))
+            K._esn_collect_loops(Wi, win, y, 0.3, nz, ea)
+            assert np.allclose(ea, got, atol=1e-12)
+
+
+def test_esn_stack_equals_single_reservoir_bit_for_bit():
+    # exp3's reservoir at its default size, driven by exp3's own draws: every
+    # default rho in exp3's blocks, then a short group over fewer steps
+    from metrilab.experiments import Exp3Config
+    from metrilab.experiments.exp3 import _RHO_BLOCK, make_signal
+    from metrilab.numerics import SeededRng, spectral_radius
+
+    cfg = Exp3Config()
+    base = SeededRng(0)
+    gen = base.derive(0).generator()
+    W0 = gen.uniform(-1.0, 1.0, (cfg.n_reservoir, cfg.n_reservoir))
+    win = cfg.input_scale * gen.uniform(-1.0, 1.0, cfg.n_reservoir)
+    y = make_signal(cfg, base.derive(1))[: cfg.total_steps]
+    noise = cfg.state_noise * base.derive(2).generator().standard_normal(
+        (cfg.total_steps, cfg.n_reservoir))
+    W_unit = W0 / spectral_radius(W0)
+    rho = cfg.rho_grid
+    groups = [(rho[i : i + _RHO_BLOCK], cfg.total_steps) for i in range(0, len(rho), _RHO_BLOCK)]
+    groups.append((rho[-3:], 300))
+    for rhos, steps in groups:
+        W = np.array(rhos)[:, None, None] * W_unit
+        got = K.esn_collect(W, win, y[:steps], cfg.leak, noise[:steps],
+                            [np.empty((steps, cfg.n_reservoir)) for _ in rhos])
+        assert len(got) == len(rhos)
+        for r, states in zip(rhos, got):
+            ref = _esn_collect_single(r * W_unit, win, y[:steps], cfg.leak, noise[:steps],
+                                      np.empty((steps, cfg.n_reservoir)))
+            assert np.array_equal(states, ref)
 
 
 def test_ca_step_remainder_distribution_tiebreak():

@@ -1,6 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from metrilab import metrics
+from metrilab.cli import _checks_rows
 from metrilab.circuits import LogicalReadout, build_gate, settle_and_read
 from metrilab.errors import (
     ChannelIrregularError,
@@ -26,6 +30,7 @@ from metrilab.metrics import (
     trace_bound_check,
     tur_check,
 )
+from metrilab.config import parse_config
 from metrilab.numerics import SeededRng
 
 
@@ -121,6 +126,68 @@ class TestTUR:
         j, sigma = biased_walk_currents(f, b, 10000, 10000, SeededRng(7))
         r = tur_check(j, sigma)
         assert 0.5 <= r["lhs"] / r["rhs"] <= 2.0
+
+
+def _tur_check_fresh(current_samples, sigma_T):
+    # tur_check as it was before its bootstrap index was cached: the index is
+    # drawn afresh on every call
+    j = np.asarray(current_samples, dtype=float)
+    mean = j.mean()
+    var = j.var(ddof=1)
+    rhs = np.inf if sigma_T <= 0 else 2.0 / sigma_T
+    if abs(mean) < 1e-12 * max(j.std(), 1e-300):
+        return {"lhs": np.inf, "rhs": rhs, "satisfied": True, "slack": np.inf,
+                "eps_stat": 0.0, "mean_zero": True}
+    lhs = var / mean**2
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(0xB007)))
+    idx = gen.integers(0, j.size, size=(metrics.TUR_BOOTSTRAP, j.size))
+    boots = j[idx]
+    bl = boots.var(axis=1, ddof=1) / boots.mean(axis=1) ** 2
+    se = float(bl.std(ddof=1))
+    eps = 3.0 * se / rhs if np.isfinite(rhs) and rhs > 0 else 0.0
+    satisfied = bool(lhs >= rhs * (1.0 - eps)) if np.isfinite(rhs) else True
+    return {"lhs": float(lhs), "rhs": float(rhs), "satisfied": satisfied,
+            "slack": float(lhs - rhs), "eps_stat": float(eps), "mean_zero": False}
+
+
+class TestTURBootstrapCache:
+    def test_cached_index_equals_fresh_draws(self):
+        # interleaved sizes evict and redraw the one cached index
+        for k, walkers in enumerate((100, 2000, 10000, 2000, 100, 10000, 100)):
+            j, sigma = biased_walk_currents(0.06, 0.04, 300, walkers, SeededRng(21).derive(k))
+            assert tur_check(j, sigma) == _tur_check_fresh(j, sigma)
+
+    def test_cached_index_is_read_only(self):
+        idx = metrics._bootstrap_index(100)
+        assert idx.shape == (metrics.TUR_BOOTSTRAP, 100)
+        assert not idx.flags.writeable
+        with pytest.raises(ValueError):
+            idx[0, 0] = 1
+
+    def test_checks_rows_keep_order_and_values_on_false_alarm_seed(self):
+        # seed 5 fails one tur_walk row at the default [checks] config; the
+        # near-equilibrium row runs first but is still listed after the walks
+        cfg = parse_config(None)
+        cc = dataclasses.replace(cfg.checks, trace_random_channels=0, tight_snrs=(0.1,),
+                                 classical_trials=2, classical_T=0.1)
+        rows = _checks_rows(dataclasses.replace(cfg, checks=cc), seed=5)
+        expected = []
+        for i in range(cc.tur_ensembles):
+            r = _tur_check_fresh(*biased_walk_currents(
+                cc.tur_forward, cc.tur_backward, cc.tur_steps, cc.tur_walkers,
+                SeededRng(5).derive(i)))
+            expected.append((f"tur_walk_{i:03d}", r["lhs"], r["rhs"], r["satisfied"], r["slack"]))
+        hop = 0.5 * (cc.tur_forward + cc.tur_backward)
+        f_eq = hop * cc.near_eq_ratio / (1.0 + cc.near_eq_ratio) * 2.0
+        r = _tur_check_fresh(*biased_walk_currents(
+            f_eq, 2.0 * hop - f_eq, cc.tur_steps * 10, cc.tur_walkers * 5,
+            SeededRng(5).derive(9000)))
+        ok = r["satisfied"] and 0.5 <= r["lhs"] / r["rhs"] <= 2.0
+        expected.append(("tur_near_equilibrium", r["lhs"], r["rhs"], ok, r["slack"]))
+        got = [(row["name"], row["lhs"], row["rhs"], row["satisfied"], row["slack"])
+               for row in rows[: cc.tur_ensembles + 1]]
+        assert got == expected
+        assert sum(not row[3] for row in got) == 1
 
 
 class TestTraceBound:
