@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .errors import BoundaryStateError, IntegrationDivergedError, InvalidConfigError, check_fields
+from .errors import IntegrationDivergedError, InvalidConfigError, check_fields
 from .numerics import SeededRng, Trajectory
 
 #: label index of separatrix-band states
@@ -99,15 +99,6 @@ class EncodingSpace:
         the band and for NaN."""
         v = np.asarray(v, dtype=float)
         return np.where(v < self.lo, 0, np.where(v > self.hi, 1, BOUNDARY))
-
-
-def classify_basin(space: EncodingSpace, p):
-    """Label whose basin contains p; separatrix-band states raise
-    BoundaryStateError so callers choose hold-previous vs reject."""
-    idx = int(space.classify(p))
-    if idx == BOUNDARY:
-        raise BoundaryStateError(f"state {p} lies in the declared boundary band")
-    return space.labels[idx]
 
 
 def make_double_well_space(a=1.0, b=2.0, alpha=1.0, priors=(0.5, 0.5)):

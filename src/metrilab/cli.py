@@ -319,6 +319,9 @@ def main(argv=None):
     except FileNotFoundError as exc:
         print(json.dumps({"error": "config-not-found", "detail": str(exc)}), file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as exc:  # a directory, or a file that cannot be read
+        print(json.dumps({"error": "config-unreadable", "detail": str(exc)}), file=sys.stderr)
+        return EXIT_CONFIG
     except InvalidConfigError as exc:
         print(json.dumps({"error": "config-error", "detail": str(exc)}), file=sys.stderr)
         return EXIT_CONFIG

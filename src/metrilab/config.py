@@ -252,9 +252,12 @@ def build_run_config(sections) -> RunConfig:
 
 
 def parse_config(path=None) -> RunConfig:
-    """Load a config file (or all defaults when path is None/empty file)."""
+    """Load a UTF-8 config file (or all defaults when path is None/empty file)."""
     if path is None:
         return RunConfig()
-    with open(path) as fh:
-        text = fh.read()
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidConfigError(f"config is not valid UTF-8: {exc}") from None
     return build_run_config(parse_config_text(text))

@@ -24,10 +24,6 @@ class NoConvergenceError(MetrilabError):
     """Iterative estimate failed to converge within the iteration cap."""
 
 
-class BoundaryStateError(MetrilabError):
-    """Physical state sits inside the declared basin-boundary band."""
-
-
 class InvalidConfigError(MetrilabError):
     """Bad configuration value or unknown key. `key` names the field when its
     own bound failed; the message then starts with that name."""
@@ -82,10 +78,6 @@ class UndefinedIntelligenceError(MetrilabError):
 
 class UndefinedConsciousnessError(MetrilabError):
     """Work-per-nat ratio requested with zero preserved information."""
-
-
-class UndefinedBaselineError(MetrilabError):
-    """Emergence index requested with a non-positive baseline."""
 
 
 class ChannelIrregularError(MetrilabError):

@@ -13,15 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..cce import EncodingSpace, encoding_path_length
 from ..errors import InvalidConfigError, check_fields
-from ..numerics import SeededRng, Trajectory
+from ..numerics import SeededRng
 from .base import ExperimentResult
 
-LOCK_WINDOW_TIME = 10.0  # trailing window of the lock/drift phase-progress label
-LOCK_RAD = 0.5           # progress per window below which a rotator is locked
-DRIFT_RAD = 2.0          # progress per window above which it drifts
-_BANK_BLOCK = 64         # bank steps per normal draw and per observed-signal pass
+_BANK_BLOCK = 64  # bank steps per normal draw and per observed-signal pass
 
 
 @dataclass(frozen=True)
@@ -206,47 +202,3 @@ def run_exp2(cfg: Exp2Config, seed: int) -> ExperimentResult:
     result.add_row(substrate="digital", accuracy=dig_acc, I_irr=dig_cost,
                    chi=dig_acc / dig_cost if dig_cost > 0 else 0.0)
     return result
-
-
-# ---------------------------------------------------------------------------
-# lock/drift label sequence for path-length accounting
-# ---------------------------------------------------------------------------
-
-def lock_label_trajectory(cfg: Exp2Config, omega_in, seed):
-    """Run a single rotator near the drive band and label each sample
-    locked/drifting from the phase progress over a trailing window.
-
-    A locked rotator keeps the relative phase bounded (progress well under a
-    radian per window); a drifting one slips by many radians. The band
-    between the two thresholds is undecided, so path-length counting with
-    hold-previous hysteresis absorbs transient chatter.
-    """
-    gen = SeededRng(seed).generator()
-    steps = cfg.steps
-    theta = gen.uniform(0.0, 2.0 * np.pi)
-    psi = np.empty(steps)
-    sq = np.sqrt(cfg.dt)
-    omega0 = cfg.freqs[0]
-    for s in range(steps):
-        t = s * cfg.dt
-        u = cfg.amp * np.sin(omega_in * t) + cfg.obs_noise * gen.standard_normal()
-        dtheta = omega0 + cfg.couple * u * np.cos(theta) - cfg.gamma * np.sin(theta)
-        theta = theta + cfg.dt * dtheta + cfg.osc_noise * sq * gen.standard_normal()
-        psi[s] = theta - omega_in * t
-    w = max(1, int(round(LOCK_WINDOW_TIME / cfg.dt)))
-    progress = np.empty(steps)
-    for s in range(steps):
-        lo = max(0, s - w)
-        span = (s - lo) * cfg.dt
-        # scale partial windows up so early samples use the same threshold units
-        progress[s] = abs(psi[s] - psi[lo]) * (LOCK_WINDOW_TIME / span) if span > 0 else np.inf
-
-    space = EncodingSpace(("lock", "drift"), LOCK_RAD, DRIFT_RAD, alpha=cfg.alpha)
-    traj = Trajectory(cfg.dt * np.arange(steps), progress[:, None])
-    return traj, space
-
-
-def lock_path_length(cfg: Exp2Config, omega_in, seed):
-    traj, space = lock_label_trajectory(cfg, omega_in, seed)
-    count, ledger = encoding_path_length(traj, space)
-    return count, ledger

@@ -1,10 +1,11 @@
-"""Scalar efficiency measures and numerical bound checks.
+"""Scalar efficiency measures, numerical bound checks and a safety monitor.
 
-Work-per-nat ratios (work per irreversible nat, work per preserved nat, and
-the relative gain of coupling over a separable baseline) plus three checks:
-the current-fluctuation bound, the mutual-information trace bound, and the
-isothermal power bound. Each check returns lhs/rhs values with a `satisfied`
-flag that allows for estimator noise.
+Two work-per-nat ratios (work per irreversible nat and work per preserved
+nat) plus three checks: the current-fluctuation bound, the
+mutual-information trace bound, and the isothermal power bound. Each check
+returns lhs/rhs values with a `satisfied` flag that allows for estimator
+noise. The safety monitor flags every sample of a flux series that breaks a
+limit.
 """
 
 import functools
@@ -13,19 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from .cce import label_jumps
-from .circuits import (
-    CircuitGraph,
-    LogicalReadout,
-    flipflop_space,
-    integrate_circuit,
-    read_stored_bit,
-)
 from .errors import (
-    AmbiguousStateError,
     ChannelIrregularError,
     InsufficientDataError,
-    UndefinedBaselineError,
     UndefinedConsciousnessError,
     UndefinedIntelligenceError,
 )
@@ -76,26 +67,11 @@ def intelligence(w_goal, i_irr):
     return w_goal / i_irr
 
 
-def cumulative_intelligence(w_rates, i_rates, dt):
-    """Ratio of integrated fluxes (left-endpoint sums), NOT the integral of the
-    pointwise ratio: segments with zero information rate are averaged through."""
-    w = float(np.sum(w_rates) * dt)
-    i = float(np.sum(i_rates) * dt)
-    return intelligence(w, i)
-
-
 def consciousness(w_goal, i_preserved):
     """Goal-directed work per nat of information preserved over the horizon."""
     if i_preserved <= 0:
         raise UndefinedConsciousnessError("no preserved information over the horizon")
     return w_goal / i_preserved
-
-
-def emergence_index(chi_coupled, chi_separable):
-    """Relative gain of the coupled system over its decoupled baseline."""
-    if chi_separable <= 0:
-        raise UndefinedBaselineError("separable baseline must be positive")
-    return (chi_coupled - chi_separable) / chi_separable
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +299,7 @@ def report_fluxes(report):
 
 
 # ---------------------------------------------------------------------------
-# safety monitor and recovery probe
+# safety monitor
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -390,37 +366,3 @@ def safety_monitor(flux_series, limits: SafetyLimits, window=100) -> ViolationRe
         if bad and first is None:
             first = float(t[k])
     return ViolationReport(first_violation_time=first, counts=counts, n_samples=len(t))
-
-
-def recovery_probe(circuit: CircuitGraph, x_base, delta, T, trials, rng: SeededRng):
-    """Kick a settled bistable circuit with random perturbations of norm <= delta
-    and measure the fraction returning to the original label (R_T) plus the
-    mean ledger entropy spent on label transitions during recovery (C_T).
-
-    All kicks are drawn first (direction, then radius, per trial); the trials
-    then recover as one batch, read by the default LogicalReadout."""
-    readout = LogicalReadout()
-    x_base = np.asarray(x_base, dtype=float)
-    base_bit = read_stored_bit(circuit, x_base, readout)
-    space = flipflop_space()
-    gen = rng.generator()
-    n = circuit.dim
-    x0 = np.tile(x_base, (trials, 1))
-    if delta > 0:
-        for k in range(trials):
-            direction = gen.standard_normal(n)
-            direction /= np.linalg.norm(direction)
-            r = delta * gen.uniform() ** (1.0 / n)
-            x0[k] = x_base + r * direction
-    traj = integrate_circuit(circuit, {"set": 0.0, "reset": 0.0}, x0, T, dt=readout.dt)
-    # a band sample keeps the label before it, starting from the base bit
-    _, jump = label_jumps(space.classify(traj[:, :, 0] - traj[:, :, 1]), start=base_bit)
-    jumps = np.count_nonzero(jump, axis=0)
-    entropy = sum(j * space.alpha * np.log(2.0) for j in jumps.tolist())
-    recovered = 0
-    for x_final in traj[-1]:
-        try:
-            recovered += read_stored_bit(circuit, x_final, readout) == base_bit
-        except AmbiguousStateError:
-            continue
-    return {"R_T": recovered / trials, "C_T": entropy / trials}

@@ -131,30 +131,6 @@ def block_rotation(omegas, dim):
     return J
 
 
-@dataclass
-class DegeneracyReport:
-    max_j_residual: float
-    max_r_residual: float
-    samples: int
-    tol: float
-    passed: bool
-
-
-def check_degeneracy(sys: MetriplecticSystem, samples: int, tol: float, rng: SeededRng) -> DegeneracyReport:
-    """Audit ||J Q x|| and ||R A x|| at random unit-sphere points."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    gen = rng.generator()
-    max_j = 0.0
-    max_r = 0.0
-    for _ in range(samples):
-        x = gen.standard_normal(sys.dim)
-        x /= np.linalg.norm(x)
-        max_j = max(max_j, float(np.linalg.norm(sys.J @ (sys.Q @ x))))
-        max_r = max(max_r, float(np.linalg.norm(sys.R @ (sys.A @ x))))
-    return DegeneracyReport(max_j, max_r, samples, tol, max_j < tol and max_r < tol)
-
-
 def entropy_production_rate(sys: MetriplecticSystem, x) -> float:
     """Instantaneous entropy export: <Q x, lam R Q x> >= 0."""
     g = sys.Q @ np.asarray(x, dtype=float)

@@ -1,4 +1,4 @@
-"""Fixed-step integrators, ridge regression, spectral rescaling, seeded RNG.
+"""The RK4 step, ridge regression, spectral radius, seeded RNG, trajectories.
 
 All randomness in the package flows through :class:`SeededRng`, which wraps
 numpy's PCG64 generator. Gaussian draws use numpy's ziggurat implementation
@@ -10,10 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrationDivergedError, NoConvergenceError, SingularMatrixError
+from .errors import NoConvergenceError, SingularMatrixError
 
 POWER_ITERATION_CAP = 10_000
-_EM_BLOCK = 4096  # Euler-Maruyama steps per noise draw and finiteness check
 
 
 @dataclass(frozen=True)
@@ -53,29 +52,6 @@ class Trajectory:
                 raise ValueError("time grid must have constant step")
 
 
-def _check_finite(x, step):
-    if not np.all(np.isfinite(x)):
-        raise IntegrationDivergedError(step)
-
-
-def integrate_rk4(field, x0, dt, steps) -> Trajectory:
-    """Classical fourth-order Runge-Kutta on a time-independent vector field."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    f = lambda s: np.asarray(field(s))
-    out = np.empty((steps + 1, x.size))
-    out[0] = x
-    for i in range(steps):
-        x = rk4_step(f, x, dt)
-        _check_finite(x, i)
-        out[i + 1] = x
-    times = dt * np.arange(steps + 1)
-    return Trajectory(times, out)
-
-
 def rk4_step(field, x, dt):
     """One classical RK4 step of x' = field(x): the package's single RK4
     step. x may have any shape, so a (batch, n) state steps every row at once
@@ -85,36 +61,6 @@ def rk4_step(field, x, dt):
     k3 = field(x + 0.5 * dt * k2)
     k4 = field(x + dt * k3)
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def integrate_em(drift, diffusion, x0, dt, steps, rng: SeededRng) -> Trajectory:
-    """Euler-Maruyama: x' = x + drift(x) dt + diffusion * sqrt(dt) * N(0,1).
-
-    `diffusion` is a scalar or per-coordinate array of noise amplitudes; with
-    diffusion = 0 the result is bitwise identical to explicit Euler.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    diff = np.broadcast_to(np.asarray(diffusion, dtype=float), x.shape)
-    if np.any(diff < 0):
-        raise ValueError("diffusion must be nonnegative")
-    gen = rng.generator()
-    sq = np.sqrt(dt)
-    out = np.empty((steps + 1, x.size))
-    out[0] = x
-    # a (block, n) draw equals block successive n-draws; finiteness is checked
-    # per block, with the overflow warnings silenced as the error reports it
-    for s in range(0, steps, _EM_BLOCK):
-        kicks = diff * sq * gen.standard_normal((min(_EM_BLOCK, steps - s), x.size))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k, kick in enumerate(kicks, s + 1):
-                x = x + dt * np.asarray(drift(x)) + kick
-                out[k] = x
-        bad = ~np.isfinite(out[s + 1 : s + 1 + len(kicks)]).all(axis=1)
-        if bad.any():
-            raise IntegrationDivergedError(s + int(np.argmax(bad)))
-    return Trajectory(dt * np.arange(steps + 1), out)
 
 
 def ridge_fit(features, targets, regularizer) -> np.ndarray:
@@ -179,15 +125,3 @@ def spectral_radius(W, tol=1e-4) -> float:
                 return est
             prev_est = est
     raise NoConvergenceError(f"power iteration did not converge in {POWER_ITERATION_CAP} iterations")
-
-
-def rescale_spectral_radius(W, target, tol=1e-3) -> np.ndarray:
-    """Return (target / rho(W)) * W with rho estimated by power iteration."""
-    if target <= 0:
-        raise ValueError("target must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    rho = spectral_radius(W, tol=min(1e-2 * tol, 1e-5))
-    if rho == 0.0:
-        raise NoConvergenceError("matrix has zero spectral radius; cannot rescale")
-    return (target / rho) * np.asarray(W, dtype=float)

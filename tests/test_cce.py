@@ -6,7 +6,6 @@ from metrilab.cce import (
     DoubleWellParams,
     EncodingSpace,
     IrreversibilityLedger,
-    classify_basin,
     encoding_path_length,
     label_jumps,
     landauer_bound,
@@ -17,11 +16,11 @@ from metrilab.cce import (
     simulate_erasure,
 )
 from metrilab.circuits import FLIPFLOP_BAND, flipflop_space
-from metrilab.errors import BoundaryStateError, InvalidConfigError
-from metrilab.experiments.exp2 import DRIFT_RAD, LOCK_RAD, Exp2Config, lock_label_trajectory
+from metrilab.errors import InvalidConfigError
 from metrilab.numerics import SeededRng, Trajectory
 
 OLD_BOUNDARY = "__boundary__"
+LOCK_RAD, DRIFT_RAD = 0.5, 2.0  # a lock/drift label: asymmetric band, string labels
 
 
 def band_closure(lo, hi, below, above):
@@ -87,22 +86,12 @@ def _spaces():
     return [
         (make_double_well_space(), band_closure(-band, band, 0, 1)),
         (flipflop_space(), band_closure(-FLIPFLOP_BAND, FLIPFLOP_BAND, 0, 1)),
-        (lock_label_trajectory(Exp2Config(horizon=0.05), 1.0, 0)[1],
+        (EncodingSpace(("lock", "drift"), LOCK_RAD, DRIFT_RAD),
          band_closure(LOCK_RAD, DRIFT_RAD, "lock", "drift")),
     ]
 
 
 class TestClassify:
-    def test_sign_readout(self):
-        space = make_double_well_space()
-        assert classify_basin(space, -1.0) == 0
-        assert classify_basin(space, 1.0) == 1
-
-    def test_separatrix_raises(self):
-        space = make_double_well_space()
-        with pytest.raises(BoundaryStateError):
-            classify_basin(space, 0.0)
-
     @pytest.mark.parametrize("which", range(3), ids=["double_well", "flipflop", "lock"])
     def test_matches_old_closure_at_edges(self, which):
         space, old = _spaces()[which]
@@ -191,36 +180,35 @@ class TestPathLength:
         c2, _ = encoding_path_length(self.traj(np.repeat(vals, 3)), space)
         assert c1 == c2
 
+    def assert_matches_loop(self, space, old, pool, spread, seeds):
+        # random runs drawn from `pool`, a fifth of the samples jittered by `spread`
+        for seed in seeds:
+            gen = SeededRng(seed).generator()
+            n = int(gen.integers(1, 200))
+            values = np.repeat(pool[gen.integers(0, len(pool), n)], gen.integers(1, 4, n))
+            values = values + np.where(gen.uniform(size=len(values)) < 0.2,
+                                       gen.normal(0.0, spread, len(values)), 0.0)
+            traj = self.traj(values, dt=0.01)
+            count, ledger = encoding_path_length(traj, space)
+            ref_count, ref = path_length_loop(traj.times, values, old, space.alpha)
+            assert count == ref_count == len(ledger), seed
+            assert ledger.entries == ref.entries, seed
+
     def test_matches_per_sample_loop(self):
         # band chatter: runs of well states, band states, NaN and infinities
         band = _double_well_band()
         pool = np.array([-1.0, 1.0, -band, band, 0.0, 0.5 * band, -2 * band, 2 * band,
                          np.nan, np.inf, -np.inf])
-        space = make_double_well_space(alpha=1.7)
-        old = band_closure(-band, band, 0, 1)
-        for seed in range(300):
-            gen = SeededRng(seed).generator()
-            n = int(gen.integers(1, 200))
-            values = np.repeat(pool[gen.integers(0, len(pool), n)], gen.integers(1, 4, n))
-            values = values + np.where(gen.uniform(size=len(values)) < 0.2,
-                                       gen.normal(0.0, band, len(values)), 0.0)
-            traj = self.traj(values, dt=0.01)
-            count, ledger = encoding_path_length(traj, space)
-            ref_count, ref = path_length_loop(traj.times, values, old, 1.7)
-            assert count == ref_count == len(ledger), seed
-            assert ledger.entries == ref.entries, seed
+        self.assert_matches_loop(make_double_well_space(alpha=1.7),
+                                 band_closure(-band, band, 0, 1), pool, band, range(300))
 
-    @pytest.mark.parametrize("omega_in,seed", [(0.55, 5), (0.7, 0), (1.0, 0)])
-    def test_lock_runs_match_per_sample_loop(self, omega_in, seed):
-        # three, three and no lock/drift jumps at the default horizon
-        cfg = Exp2Config()
-        traj, space = lock_label_trajectory(cfg, omega_in, seed)
-        count, ledger = encoding_path_length(traj, space)
-        ref_count, ref = path_length_loop(traj.times, traj.states[:, 0],
-                                          band_closure(LOCK_RAD, DRIFT_RAD, "lock", "drift"),
-                                          cfg.alpha)
-        assert count == ref_count
-        assert ledger.entries == ref.entries
+    def test_string_labels_match_per_sample_loop(self):
+        # the lock/drift space: the ledger carries string labels, and the band
+        # [LOCK_RAD, DRIFT_RAD] does not straddle zero
+        pool = np.array([0.1, LOCK_RAD, 1.2, DRIFT_RAD, 3.5, np.nan, np.inf, -np.inf])
+        self.assert_matches_loop(EncodingSpace(("lock", "drift"), LOCK_RAD, DRIFT_RAD, alpha=0.6),
+                                 band_closure(LOCK_RAD, DRIFT_RAD, "lock", "drift"), pool, 0.5,
+                                 range(100))
 
     def test_ledger_cumulative_is_sum(self):
         space = make_double_well_space()

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from metrilab.cce import BOUNDARY, preserved_information
+from metrilab.cce import preserved_information
 from metrilab.circuits import (
     CircuitGraph,
     GateParams,
@@ -14,14 +14,12 @@ from metrilab.circuits import (
     integrate_circuit,
     logical_table,
     logistic,
-    read_stored_bit,
     run_flipflop,
     settle_and_read,
     verify_truth_table,
 )
 from metrilab.cli import main as cli_main
 from metrilab.errors import AmbiguousStateError, InvalidGateParamsError, NonFixedPointError, NoSettleError
-from metrilab.metrics import recovery_probe
 from metrilab.numerics import SeededRng
 
 READOUT = LogicalReadout()
@@ -258,32 +256,6 @@ def reference_settle(circuit, inputs, readout, x0=None, noise=0.0, rng=None):
     raise NoSettleError("no settle", final_state=x)
 
 
-def reference_recovery(circuit, x_base, delta, T, trials, rng, readout):
-    """recovery_probe's per-trial form: kick, integrate, classify every step."""
-    base_bit = read_stored_bit(circuit, x_base, readout)
-    space = flipflop_space()
-    gen = rng.generator()
-    n = circuit.dim
-    recovered, entropy = 0, 0.0
-    for _ in range(trials):
-        x0 = x_base.copy()
-        if delta > 0:
-            direction = gen.standard_normal(n)
-            direction /= np.linalg.norm(direction)
-            x0 = x_base + delta * gen.uniform() ** (1.0 / n) * direction
-        traj = reference_integrate(circuit, {"set": 0.0, "reset": 0.0}, x0, T, readout.dt)
-        prev, jumps = base_bit, 0
-        for lab in (space.classify(row[0] - row[1]) for row in traj):
-            if lab != BOUNDARY and lab != prev:
-                jumps, prev = jumps + 1, lab
-        entropy += jumps * space.alpha * np.log(2.0)
-        try:
-            recovered += read_stored_bit(circuit, traj[-1], readout) == base_bit
-        except AmbiguousStateError:
-            pass
-    return {"R_T": recovered / trials, "C_T": entropy / trials}
-
-
 def assert_rows_match_reference(circuit, rows, x0=None, noise=0.0, rngs=None):
     batch = settle_and_read(circuit, rows, READOUT, x0=x0, noise=noise, rng=rngs)
     for i, row in enumerate(rows):
@@ -351,15 +323,6 @@ class TestBatchedAgainstPerRowOracle:
         ref = reference_integrate(ff, {"set": 2.0, "reset": 0.0}, x0, 10.0, 0.02,
                                   noise=1e-2, gen=SeededRng(8).generator())
         assert np.array_equal(got, ref)
-
-    @pytest.mark.parametrize("seed", (1, 2, 3))
-    def test_recovery_probe_matches_per_trial(self, seed):
-        ff = build_gate("FLIPFLOP")
-        x_base = np.array([0.98, 0.02])
-        for delta in (0.3, 8.0):
-            got = recovery_probe(ff, x_base, delta, T=10.0, trials=12, rng=SeededRng(seed))
-            ref = reference_recovery(ff, x_base, delta, 10.0, 12, SeededRng(seed), READOUT)
-            assert got == ref
 
     def test_gates_csv_matches_golden(self, tmp_path):
         assert cli_main(["gates", "--seed", "0", "--out", str(tmp_path), "--quiet"]) == 0

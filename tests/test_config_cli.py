@@ -334,13 +334,21 @@ class TestCLI:
         _config_error("gates", "[run]\nseed = -5\n", "run_seed_negative"),
         _config_error("exp2 --seed -1", "", "cli_seed_negative"),
         _config_error("gates", "[gates]\ntheta_and = 5.0\n", "gates_theta_and"),
+        pytest.param("monitor", None, False, 2, "config-unreadable", id="config_is_directory"),
+        _config_error("monitor", b"[monitor]\nsteps = 10  # \xff\n", "config_not_utf8"),
     ])
     def test_exit_code_table(self, tmp_path, capsys, subcommand, config, out_is_file, code, error):
         # each failure ends in its documented code with one JSON line on
         # stderr; an exception escaping main fails the test. `subcommand`
-        # may carry extra arguments after the name.
+        # may carry extra arguments after the name. A `config` of None makes
+        # --config name a directory; bytes are written as they are.
         cfg = tmp_path / "c.cfg"
-        cfg.write_text(config)
+        if config is None:
+            cfg.mkdir()
+        elif isinstance(config, bytes):
+            cfg.write_bytes(config)
+        else:
+            cfg.write_text(config)
         out = tmp_path / "out"
         if out_is_file:
             out.write_text("not a directory\n")

@@ -20,7 +20,6 @@ from metrilab import kernels
 from metrilab.experiments import exp2, exp4
 from metrilab.experiments.base import ExperimentResult
 from metrilab.experiments.exp1 import lagged_r2, make_input
-from metrilab.experiments.exp2 import lock_path_length
 from metrilab.experiments.exp4 import patch_outward_flux
 from metrilab.numerics import SeededRng, ridge_fit
 
@@ -156,11 +155,6 @@ class TestExp2:
         res = run_exp2(Exp2Config(freqs=(1.0,), trials_per_freq=5, horizon=30.0), seed=1)
         assert res.rows[0]["accuracy"] == 1.0
         assert res.rows[1]["accuracy"] == 1.0
-
-    def test_lock_path_length_small_at_zero_detuning(self):
-        cfg = Exp2Config(horizon=60.0)
-        count, _ = lock_path_length(cfg, omega_in=cfg.freqs[0], seed=5)
-        assert count <= 3
 
 
 def _run_bank_per_step(cfg, omega_in, phase, rng):

@@ -1,5 +1,11 @@
 """External-surface contracts: loadable circuit text, truth-table CSV rows,
-per-trial CSV, field dumps, and order-deterministic threaded sweeps."""
+per-trial CSV, field dumps, and order-deterministic threaded sweeps. The
+metrilab names this file imports are the package's declared external
+surface, and every other public name must be reached from code that runs."""
+
+import ast
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -117,3 +123,66 @@ class TestMetricRecords:
     def test_negative_information_component_rejected(self):
         with pytest.raises(ValueError):
             MetricRecord("bad", 1.0, components={"I_irr": -1.0})
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _uses(tree, strings=False):
+    """Every name a syntax tree loads, imports or reads as an attribute, plus
+    the words of its string constants when `strings` is set."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rpartition(".")[2])
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.update(re.findall(r"\w+", node.value))
+    return out
+
+
+def _defined(stmt):
+    """The names a module-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
+class TestReachability:
+    def test_every_public_name_is_reached(self):
+        # A top-level name of src/metrilab is reached when a root uses it, or
+        # when the definition of a reached name does. The roots are the
+        # package's module-level statements that neither define nor import
+        # (cli's __main__ call), perfbench (its tracer names targets in
+        # strings), the acceptance criteria and the surface this file imports.
+        # Names match by spelling alone, across modules.
+        uses_of, public, roots = {}, set(), set()
+        for path in (ROOT / "src" / "metrilab").rglob("*.py"):
+            for stmt in ast.parse(path.read_text()).body:
+                names = _defined(stmt)
+                for name in names:
+                    uses_of.setdefault(name, set()).update(_uses(stmt))
+                public.update(n for n in names if not n.startswith("_"))
+                if not names and not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                    roots |= _uses(stmt)
+        for path in (ROOT / "perfbench").rglob("*.py"):
+            roots |= _uses(ast.parse(path.read_text()), strings=True)
+        roots |= _uses(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
+        roots |= {alias.name for stmt in ast.parse(pathlib.Path(__file__).read_text()).body
+                  if isinstance(stmt, ast.ImportFrom) and stmt.module.startswith("metrilab")
+                  for alias in stmt.names}
+        reached, todo = set(), list(roots & uses_of.keys())
+        while todo:
+            name = todo.pop()
+            if name not in reached:
+                reached.add(name)
+                todo.extend(uses_of[name] & uses_of.keys())
+        unreached = sorted(public - reached)
+        assert not unreached, f"public names nothing reaches: {', '.join(unreached)}"

@@ -5,11 +5,9 @@ import pytest
 
 from metrilab import metrics
 from metrilab.cli import _checks_rows
-from metrilab.circuits import LogicalReadout, build_gate, settle_and_read
 from metrilab.errors import (
     ChannelIrregularError,
     InsufficientDataError,
-    UndefinedBaselineError,
     UndefinedConsciousnessError,
     UndefinedIntelligenceError,
 )
@@ -18,13 +16,9 @@ from metrilab.metrics import (
     biased_walk_currents,
     classical_bound_check,
     consciousness,
-    cumulative_intelligence,
-    emergence_index,
     intelligence,
     linear_gaussian_channel,
     logistic_mean_channel,
-    mutual_information_quadrature,
-    recovery_probe,
     report_fluxes,
     safety_monitor,
     trace_bound_check,
@@ -45,11 +39,6 @@ class TestScalarMeasures:
         with pytest.raises(UndefinedIntelligenceError):
             intelligence(1.0, 0.0)
 
-    def test_ratio_of_integrals_not_integral_of_ratio(self):
-        # piecewise fluxes W' = (2, 0), I' = (1, 1) over equal intervals:
-        # ratio of integrals is 1 even though the pointwise ratio hits 0
-        assert cumulative_intelligence([2.0, 0.0], [1.0, 1.0], dt=0.5) == pytest.approx(1.0)
-
     def test_homogeneity(self):
         for c in (0.5, 3.0, 17.0):
             assert intelligence(c * 2.0, c * 4.0) == pytest.approx(intelligence(2.0, 4.0))
@@ -61,41 +50,6 @@ class TestScalarMeasures:
         assert consciousness(1.0, 2 * np.log(2)) == pytest.approx(0.5 * consciousness(1.0, np.log(2)))
         with pytest.raises(UndefinedConsciousnessError):
             consciousness(1.0, 0.0)
-
-    def test_emergence_index(self):
-        assert emergence_index(1.0, 1.0) == 0.0
-        assert emergence_index(2.0, 1.0) == 1.0
-        with pytest.raises(UndefinedBaselineError):
-            emergence_index(1.0, 0.0)
-
-    def test_emergence_from_coupled_rotor_pair(self):
-        # two planar rotors sharing an input, coupled vs cross-coupling zeroed;
-        # the index is computed end to end and only its sign is reported
-        from metrilab.metriplectic import MetriplecticSystem, simulate
-        from metrilab.numerics import ridge_fit
-
-        def run(coupling):
-            J = np.zeros((4, 4))
-            J[0, 1], J[1, 0] = -1.0, 1.0
-            J[2, 3], J[3, 2] = -1.7, 1.7
-            J[0, 2], J[2, 0] = coupling, -coupling
-            lam = 0.05
-            sys = MetriplecticSystem(
-                J=J, R=np.eye(4), A=np.eye(4), Q=np.eye(4), lam=lam,
-                B=np.array([1.0, 0.0, 1.0, 0.0]))
-            gen = SeededRng(77).generator()
-            u = gen.standard_normal(1500)
-            traj, _ = simulate(sys, [0.5, 0, 0.5, 0], u, dt=0.05, renormalize=True)
-            states = traj.states[1:]
-            half = 700
-            w = ridge_fit(states[:half], u[:half], 1e-6)
-            pred = states[half:] @ w
-            r = np.corrcoef(pred, u[half:])[0, 1] ** 2
-            return r / (lam * len(u) * 0.05)
-
-        e = emergence_index(run(0.8), run(0.0))
-        assert np.isfinite(e)
-
 
 class TestTUR:
     def test_bound_holds_on_seeded_ensembles(self):
@@ -318,31 +272,3 @@ class TestSafetyMonitor:
         series = self.flat(n, w_dot=np.full(n, 5.0), i_irr_dot=np.full(n, 1.0))
         rep = safety_monitor(series, SafetyLimits(chi_range=(0.0, 2.0)), window=10)
         assert rep.counts["chi"] == n
-
-
-@pytest.fixture(scope="module")
-def settled_flipflop():
-    ff = build_gate("FLIPFLOP")
-    readout = LogicalReadout()
-    x_pulse = settle_and_read(ff, [{"set": 2.0, "reset": 0.0}], readout).states
-    x_hold = settle_and_read(ff, [{"set": 0.0, "reset": 0.0}], readout, x0=x_pulse).states[0]
-    return ff, x_hold
-
-
-class TestRecoveryProbe:
-
-    def test_zero_perturbation(self, settled_flipflop):
-        ff, x = settled_flipflop
-        r = recovery_probe(ff, x, 0.0, T=10.0, trials=5, rng=SeededRng(1))
-        assert r["R_T"] == 1.0 and r["C_T"] == 0.0
-
-    def test_sub_basin_kicks_always_recover(self, settled_flipflop):
-        ff, x = settled_flipflop
-        r = recovery_probe(ff, x, 0.3, T=20.0, trials=40, rng=SeededRng(2))
-        assert r["R_T"] == 1.0
-
-    def test_large_kicks_split_evenly(self, settled_flipflop):
-        ff, x = settled_flipflop
-        r = recovery_probe(ff, x, 8.0, T=25.0, trials=120, rng=SeededRng(3))
-        assert 0.3 < r["R_T"] < 0.7
-        assert r["C_T"] > 0.0

@@ -2,99 +2,36 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from metrilab.errors import IntegrationDivergedError, NoConvergenceError, SingularMatrixError
-from metrilab.numerics import (
-    _EM_BLOCK,
-    SeededRng,
-    integrate_em,
-    integrate_rk4,
-    rescale_spectral_radius,
-    ridge_fit,
-    spectral_radius,
-)
+from metrilab.errors import SingularMatrixError
+from metrilab.numerics import SeededRng, ridge_fit, rk4_step, spectral_radius
+
+
+def rk4_states(field, x0, dt, steps):
+    """x0 and the states after each of `steps` rk4_step calls."""
+    states = [np.asarray(x0, dtype=float)]
+    for _ in range(steps):
+        states.append(rk4_step(field, states[-1], dt))
+    return np.array(states)
 
 
 class TestRK4:
     def test_planar_rotation_preserves_norm(self):
         omega = 1.3
         field = lambda x: omega * np.array([-x[1], x[0]])
-        traj = integrate_rk4(field, np.array([1.0, 0.0]), dt=0.01, steps=1000)
-        norms = np.linalg.norm(traj.states, axis=1)
+        states = rk4_states(field, [1.0, 0.0], dt=0.01, steps=1000)
+        norms = np.linalg.norm(states, axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-8
 
     def test_scalar_decay_closed_form(self):
-        traj = integrate_rk4(lambda x: -x, np.array([1.0]), dt=0.01, steps=100)
-        assert abs(traj.states[-1, 0] - np.exp(-1.0)) < 1e-6
+        states = rk4_states(lambda x: -x, [1.0], dt=0.01, steps=100)
+        assert abs(states[-1, 0] - np.exp(-1.0)) < 1e-6
 
     def test_linear_system_vs_matrix_exponential_oracle(self):
         A = np.array([[-0.3, 1.1], [-0.8, 0.2]])
         x0 = np.array([0.7, -0.4])
-        dt = 1e-3
-        traj = integrate_rk4(lambda x: A @ x, x0, dt=dt, steps=1000)
+        states = rk4_states(lambda x: A @ x, x0, dt=1e-3, steps=1000)
         expected = scipy.linalg.expm(A) @ x0  # scaling-and-squaring oracle at t = 1
-        assert np.max(np.abs(traj.states[-1] - expected)) < 1e-6
-
-    def test_divergence_carries_step_index(self):
-        with np.errstate(over="ignore"), pytest.raises(IntegrationDivergedError) as err:
-            integrate_rk4(lambda x: x**3, np.array([2.0]), dt=0.5, steps=50)
-        assert err.value.step >= 0
-
-    def test_bad_args(self):
-        with pytest.raises(ValueError):
-            integrate_rk4(lambda x: -x, [1.0], dt=0.0, steps=10)
-        with pytest.raises(ValueError):
-            integrate_rk4(lambda x: -x, [1.0], dt=0.1, steps=0)
-
-
-class TestEulerMaruyama:
-    def test_zero_noise_equals_explicit_euler(self):
-        drift = lambda x: -0.5 * x
-        x0 = np.array([1.0, -2.0])
-        traj = integrate_em(drift, 0.0, x0, dt=0.1, steps=50, rng=SeededRng(1))
-        x = x0.copy()
-        for _ in range(50):
-            x = x + 0.1 * drift(x)
-        assert np.array_equal(traj.states[-1], x)  # bitwise: same code path
-
-    def test_ou_stationary_variance_oracle(self):
-        # analytic stationary variance of dX = -theta X dt + sqrt(2 D) dW is D/theta
-        theta, D = 1.0, 0.5
-        traj = integrate_em(lambda x: -theta * x, np.sqrt(2 * D), np.array([0.0]),
-                            dt=0.01, steps=1_000_000, rng=SeededRng(42))
-        samples = traj.states[5000:, 0]
-        assert abs(samples.var() - D / theta) / (D / theta) < 0.05
-
-    def test_divergence_reports_first_nonfinite_step(self):
-        # growth by 1.15 per step overflows past the first noise block; the
-        # error names the step a per-step check would have stopped at
-        drift = lambda x: 0.15 * x
-        x, first = np.array([1.0, 0.5]), None
-        with np.errstate(over="ignore"):
-            for i in range(6000):
-                x = x + 1.0 * drift(x)
-                if not np.all(np.isfinite(x)):
-                    first = i
-                    break
-            with pytest.raises(IntegrationDivergedError) as err:
-                integrate_em(drift, 0.0, [1.0, 0.5], dt=1.0, steps=6000, rng=SeededRng(1))
-        assert first is not None and first > _EM_BLOCK
-        assert err.value.step == first
-
-    def test_fixed_seed_bit_reproducible(self):
-        a = integrate_em(lambda x: -x, 0.3, [1.0], dt=0.05, steps=200, rng=SeededRng(9, 4))
-        b = integrate_em(lambda x: -x, 0.3, [1.0], dt=0.05, steps=200, rng=SeededRng(9, 4))
-        assert np.array_equal(a.states, b.states)
-
-    def test_high_barrier_escape_is_rare(self):
-        # Kramers rate for barrier 8 kT predicts well under 1% escapes here
-        a, b, kT = 1.0, 2.83, 0.25  # barrier b^2/(4a) = 2.0 = 8 kT
-        drift = lambda x: -(4 * a * x**3 - 2 * b * x)
-        escapes = 0
-        for k in range(20):
-            traj = integrate_em(drift, np.sqrt(2 * kT), [-np.sqrt(b / (2 * a))],
-                                dt=0.002, steps=5000, rng=SeededRng(100, k))
-            escapes += np.any(traj.states[:, 0] > 0)
-        assert escapes / 20 < 0.01 + 1e-9
+        assert np.max(np.abs(states[-1] - expected)) < 1e-6
 
 
 class TestRidge:
@@ -150,19 +87,16 @@ class TestRidge:
 
 
 class TestSpectralRescale:
-    def test_identity(self):
-        W = rescale_spectral_radius(np.eye(4), 0.9)
-        assert np.allclose(W, 0.9 * np.eye(4), atol=1e-3)
+    """spectral_radius, the estimate exp3 divides its reservoir by."""
 
-    def test_nilpotent_errors(self):
-        W = np.array([[0.0, 2.0], [0.0, 0.0]])
-        with pytest.raises(NoConvergenceError):
-            rescale_spectral_radius(W, 1.0)
+    def test_identity(self):
+        assert spectral_radius(np.eye(4)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_nilpotent_gives_zero(self):
+        assert spectral_radius(np.array([[0.0, 2.0], [0.0, 0.0]])) == 0.0
 
     def test_random_dense_against_norm_growth_oracle(self):
-        gen = SeededRng(8).generator()
-        W = gen.standard_normal((50, 50))
-        scaled = rescale_spectral_radius(W, 1.0, tol=1e-3)
+        W = SeededRng(8).generator().standard_normal((50, 50))
 
         # oracle: repeated squaring; rho = lim ||M^(2^k)||^(1/2^k)
         def growth_radius(M, squarings=12):
@@ -176,5 +110,5 @@ class TestSpectralRescale:
                 Mh = M2 / n2
             return np.exp(logn / 2**squarings)
 
-        rho = growth_radius(scaled)
-        assert abs(rho - 1.0) < 1e-3
+        rho = growth_radius(W)
+        assert abs(spectral_radius(W) - rho) < 1e-3 * rho
