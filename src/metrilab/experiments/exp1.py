@@ -62,28 +62,29 @@ def make_input(cfg: Exp1Config, rng: SeededRng):
 def lagged_r2(states, u, k_lags, ridge, n_skip):
     """Per-lag squared correlation of ridge readouts, clamped to [0, 1].
 
-    Every lag is read out from the same training states, so one ridge_fit
-    call factors their Gram matrix once for all k_lags targets.
+    Every lag is read out from the same training states by one ridge_fit
+    call, and the test predictions of all lags are one (T_test, k_lags)
+    product. A lag whose prediction or target has a standard deviation
+    below 1e-300 gets r^2 = 0.
     """
     idx = np.arange(n_skip, len(u))
     half = len(idx) // 2
     train, test = idx[:half], idx[half:]
     lags = np.arange(1, k_lags + 1)
     # train and test are contiguous row ranges, so the states are read as views;
-    # column k - 1 holds u[train - k], contiguous as a 1-D target would be
-    w = ridge_fit(states[n_skip : n_skip + half], u[train[None, :] - lags[:, None]].T, ridge)
-    X_test = states[n_skip + half : len(u)]
-    r2 = np.zeros(k_lags)
-    for k in lags:
-        pred = X_test @ w[:, k - 1]
-        target = u[test - k]
-        sp, st = pred.std(), target.std()
-        if sp < 1e-300 or st < 1e-300:
-            r2[k - 1] = 0.0
-            continue
-        c = float(np.corrcoef(pred, target)[0, 1])
-        r2[k - 1] = min(max(c * c, 0.0), 1.0)
-    return r2
+    # column k - 1 holds u[row - k]
+    w = ridge_fit(states[n_skip : n_skip + half], u[train[:, None] - lags], ridge)
+    pred = states[n_skip + half : len(u)] @ w
+    target = u[test[:, None] - lags]
+    sp, st = pred.std(axis=0), target.std(axis=0)
+    cov = ((pred - pred.mean(axis=0)) * (target - target.mean(axis=0))).mean(axis=0)
+    spread = (sp >= 1e-300) & (st >= 1e-300)
+    # one spread at a time, as np.corrcoef divides: sp * st can underflow to 0
+    # where each spread passes, and |cov / sp| <= st cannot overflow
+    c = np.zeros(k_lags)
+    np.divide(cov, sp, out=c, where=spread)
+    np.divide(c, st, out=c, where=spread)
+    return np.clip(c * c, 0.0, 1.0)
 
 
 def run_exp1(cfg: Exp1Config, seed: int, threads: int = 1) -> ExperimentResult:

@@ -66,11 +66,11 @@ def rk4_step(field, x, dt):
 def ridge_fit(features, targets, regularizer) -> np.ndarray:
     """Minimize ||X w - y||^2 + regularizer * ||w||^2 via normal equations.
 
-    Solved with a Cholesky factorization of (X^T X + reg I); a singular system
-    at regularizer = 0 raises SingularMatrixError. `targets` of shape (T, k)
-    share that one factorization and give a (n, k) result, each column
-    computed by exactly the operations of a call with that column alone (one
-    multi-column solve would differ from them in the low bits).
+    Solved with a Cholesky factorization L L^T of (X^T X + reg I) and one
+    pair of np.linalg.solve calls, with L and then L^T, against X^T y; a
+    singular system at regularizer = 0 raises SingularMatrixError. `targets`
+    of shape (T, k) give a (n, k) result from one multi-column solve; a 1-D
+    target is the k = 1 case and gives a (n,) result.
     """
     X = np.asarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -83,15 +83,7 @@ def ridge_fit(features, targets, regularizer) -> np.ndarray:
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"normal equations not positive definite: {exc}") from exc
-
-    def solve(col):
-        return np.linalg.solve(L.T, np.linalg.solve(L, X.T @ col))
-
-    if y.ndim == 1:
-        return solve(y)
-    # one row per column, transposed: each column of the result is laid out
-    # contiguously, as a 1-D solution is
-    return np.array([solve(np.ascontiguousarray(col)) for col in y.T]).T
+    return np.linalg.solve(L.T, np.linalg.solve(L, X.T @ y))
 
 
 def spectral_radius(W, tol=1e-4) -> float:
