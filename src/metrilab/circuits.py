@@ -169,27 +169,52 @@ class CircuitGraph:
 def integrate_circuit(circuit: CircuitGraph, inputs, x0, T, dt=0.02, noise=0.0, gen=None):
     """Clamped-input RK4 integration (plus optional additive state noise) of
     one state (n,) or a batch (rows, n); returns the time series including
-    the initial state, shape (steps + 1,) + x0.shape. `gen` is one Generator,
-    or for a batch a list with one per row (row i draws from gen[i] alone)."""
+    the initial state, shape (steps + 1,) + x0.shape.
+
+    `gen` is one Generator, drawing every row's noise at the one level
+    `noise`, or for a batch a list with one per row: row i draws from gen[i]
+    alone at level noise[i] (or at `noise` when it is one level), and a
+    noiseless row may hold None. Noise > 0 without a generator raises
+    ValueError."""
     steps = int(round(T / dt))
     x = np.array(x0, dtype=float)
     u = circuit.injection(inputs)
     f = lambda s: circuit.field(s, u)
-    kicks = None
-    if noise > 0.0 and gen is not None:
-        if isinstance(gen, np.random.Generator):
-            kicks = gen.standard_normal((steps,) + x.shape)
-        else:
-            kicks = np.stack([g.standard_normal((steps, circuit.dim)) for g in gen], axis=1)
-        kicks *= noise * np.sqrt(dt)
+    kicks, noisy = _state_kicks(noise, gen, steps, x.shape, dt)
     out = np.empty((steps + 1,) + x.shape)
     out[0] = x
     for k in range(steps):
         x = rk4_step(f, x, dt)
         if kicks is not None:
-            x = x + kicks[k]
+            x[noisy] += kicks[k]
         out[k + 1] = x
     return out
+
+
+def _state_kicks(noise, gen, steps, shape, dt):
+    """Each step's additive noise for integrate_circuit, and the rows of the
+    state it lands on; (None, None) when no row is noisy."""
+    levels = np.asarray(noise, dtype=float)
+    if not (levels > 0.0).any():
+        return None, None
+    if gen is None:
+        raise ValueError("state noise > 0 needs a generator")
+    if isinstance(gen, np.random.Generator):
+        if levels.ndim:
+            raise ValueError("one generator draws at one noise level: give one generator per row")
+        kicks = gen.standard_normal((steps,) + shape)
+        kicks *= noise * np.sqrt(dt)
+        return kicks, slice(None)
+    levels = np.broadcast_to(levels, (len(gen),))
+    noisy = np.flatnonzero(levels > 0.0)
+    for r in noisy:
+        if gen[r] is None:
+            raise ValueError(f"row {r} has state noise {levels[r]} but no generator")
+    kicks = np.stack([gen[r].standard_normal((steps, shape[1])) for r in noisy], axis=1)
+    kicks *= levels[noisy, None] * np.sqrt(dt)
+    if noisy[-1] - noisy[0] + 1 == len(noisy):
+        noisy = slice(noisy[0], noisy[-1] + 1)  # one run of rows: a slice indexes faster
+    return kicks, noisy
 
 
 _SETTLE_CHUNK = 32  # steps integrated between settle checks
@@ -204,8 +229,10 @@ def settle_and_read(circuit: CircuitGraph, inputs, readout: LogicalReadout,
     inside a single logical interval for a full window, then read the labels.
 
     `inputs` is a list of inputs dicts, settled as one batch; `x0` holds one
-    state and `rng` one SeededRng per row, and every row reads exactly as if
-    it had been settled alone.
+    state and `rng` one SeededRng per row (None for a noiseless row), `noise`
+    is one state-noise level or one per row, and every row reads exactly as
+    if it had been settled alone. A row's settle tolerance is `tol` when it
+    is noiseless and max(tol, 8 * noise) otherwise.
 
     Raises NoSettleError if an encoding state is still in the forbidden band
     at t_max, and NonFixedPointError if labels are stable but the state keeps
@@ -215,8 +242,10 @@ def settle_and_read(circuit: CircuitGraph, inputs, readout: LogicalReadout,
     dt = readout.dt
     steps = int(round(readout.t_max / dt))
     window = max(1, int(round(readout.window / dt)))
-    tol = readout.tol if noise == 0.0 else max(readout.tol, 8.0 * noise)
-    gens = [r.generator() for r in rng] if (rng and noise > 0.0) else None
+    levels = np.broadcast_to(np.asarray(noise, dtype=float), (rows,))
+    tol = np.where(levels == 0.0, readout.tol, np.maximum(readout.tol, 8.0 * levels))
+    gens = None if rng is None else [
+        None if r is None or level == 0.0 else r.generator() for r, level in zip(rng, levels)]
     enc = [circuit._index[node] for node in circuit.encoding_ports.values()]
 
     # Steps run in chunks; labels, run lengths and the window move of a chunk
@@ -231,7 +260,7 @@ def settle_and_read(circuit: CircuitGraph, inputs, readout: LogicalReadout,
     settled = SettledRows([None] * rows, np.empty((rows, n)), np.zeros(rows, dtype=int))
     for s in range(0, steps, _SETTLE_CHUNK):
         m = min(_SETTLE_CHUNK, steps - s)
-        buf[window : window + m + 1] = integrate_circuit(circuit, inputs, buf[window], m * dt, dt, noise, gens)
+        buf[window : window + m + 1] = integrate_circuit(circuit, inputs, buf[window], m * dt, dt, levels, gens)
         e = buf[window + 1 : window + 1 + m][:, :, enc]
         labels = np.where(e <= readout.low_max, 0, np.where(e >= readout.high_min, 1, -1))
         prev = np.concatenate([run_labels[None], labels[:-1]])
@@ -240,7 +269,7 @@ def settle_and_read(circuit: CircuitGraph, inputs, readout: LogicalReadout,
         length = np.where(start >= 0, at - start + 1, run_len + at + 1)
         length[(labels < 0).any(axis=2)] = 0
         kk, rr = np.nonzero((length >= window) & ~done)
-        still = np.abs(buf[window + 1 + kk, rr] - buf[kk + 1, rr]).max(axis=1) <= tol
+        still = np.abs(buf[window + 1 + kk, rr] - buf[kk + 1, rr]).max(axis=1) <= tol[rr]
         for k, r in zip(kk[still], rr[still]):
             if not done[r]:
                 done[r] = True
@@ -376,6 +405,16 @@ def _validate_flipflop(circ):
 # verification and stateful runs
 # ---------------------------------------------------------------------------
 
+# the arguments each directive needs; a node may add key=value parameters
+_DIRECTIVE_ARGS = {
+    "circuit": "name",
+    "node": "name kind",
+    "edge": "src dst weight",
+    "input": "port node weight",
+    "encoding": "port node",
+}
+
+
 def load_circuit(text) -> CircuitGraph:
     """Build a circuit from structured text: node / edge / input / encoding lines.
 
@@ -386,7 +425,9 @@ def load_circuit(text) -> CircuitGraph:
         input in2 a 1.0
         encoding out b
 
-    Unknown directives or references to undeclared nodes raise ValueError.
+    Unknown directives, missing or malformed arguments and references to
+    undeclared nodes raise ValueError; a malformed line is named by its
+    number.
     """
     nodes = {}
     edges = []
@@ -399,44 +440,55 @@ def load_circuit(text) -> CircuitGraph:
             continue
         parts = line.split()
         kind, args = parts[0].lower(), parts[1:]
-        if kind == "circuit":
-            name = args[0]
-        elif kind == "node":
-            node_name, node_kind = args[0], args[1]
-            params = {}
-            for tok in args[2:]:
-                key, val = tok.split("=", 1)
-                params[key] = float(val)
-            nodes[node_name] = NodeSpec(node_kind, params)
-        elif kind == "edge":
-            src, dst, weight = args[0], args[1], float(args[2])
-            edges.append((src, dst, weight))
-        elif kind == "input":
-            port, node, weight = args[0], args[1], float(args[2])
-            input_ports.setdefault(port, []).append((node, weight))
-        elif kind == "encoding":
-            encoding_ports[args[0]] = args[1]
-        else:
+        if kind not in _DIRECTIVE_ARGS:
             raise ValueError(f"line {lineno}: unknown directive {kind!r}")
+        if len(args) < len(_DIRECTIVE_ARGS[kind].split()):
+            raise ValueError(f"line {lineno}: {kind} needs {_DIRECTIVE_ARGS[kind]}, got {line!r}")
+        try:
+            if kind == "circuit":
+                name = args[0]
+            elif kind == "node":
+                params = {}
+                for tok in args[2:]:
+                    key, eq, val = tok.partition("=")
+                    if not eq:
+                        raise ValueError(f"node parameter {tok!r} is not key=value")
+                    params[key] = float(val)
+                nodes[args[0]] = NodeSpec(args[1], params)
+            elif kind == "edge":
+                edges.append((args[0], args[1], float(args[2])))
+            elif kind == "input":
+                input_ports.setdefault(args[0], []).append((args[1], float(args[2])))
+            else:
+                encoding_ports[args[0]] = args[1]
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return CircuitGraph(nodes, edges, input_ports, encoding_ports, name=name)
 
 
 def load_truth_table(text):
     """Parse truth-table CSV rows: header names the input ports then the
-    expected encoding ports prefixed with 'out:'; one row per corner."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    header = [h.strip() for h in lines[0].split(",")]
+    expected encoding ports prefixed with 'out:'; one row per corner. Empty
+    text, a row of another width or a cell that is not a number raises
+    ValueError, naming the line."""
+    lines = [(lineno, ln.strip()) for lineno, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines:
+        raise ValueError("truth table is empty: it needs a header line")
+    header = [h.strip() for h in lines[0][1].split(",")]
     in_cols = [h for h in header if not h.startswith("out:")]
     out_cols = [h[4:] for h in header if h.startswith("out:")]
     if not out_cols:
-        raise ValueError("truth table needs at least one out: column")
+        raise ValueError(f"line {lines[0][0]}: truth table needs at least one out: column")
     table = []
-    for ln in lines[1:]:
+    for lineno, ln in lines[1:]:
         cells = [c.strip() for c in ln.split(",")]
         if len(cells) != len(header):
-            raise ValueError(f"row {ln!r} does not match header width")
-        inputs = {h: float(c) for h, c in zip(in_cols, cells)}
-        expected = {h: int(c) for h, c in zip(out_cols, cells[len(in_cols):])}
+            raise ValueError(f"line {lineno}: row {ln!r} does not match header width")
+        try:
+            inputs = {h: float(c) for h, c in zip(in_cols, cells)}
+            expected = {h: int(c) for h, c in zip(out_cols, cells[len(in_cols):])}
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
         table.append((inputs, expected))
     return table
 
@@ -453,12 +505,15 @@ def verify_truth_table(circuit: CircuitGraph, table, readout: LogicalReadout,
     dict), and row i draws its noise from rng.derive(i)."""
     rngs = None if rng is None else [rng.derive(i) for i in range(len(table))]
     settled = settle_and_read(circuit, [row for row, _ in table], readout, noise=noise, rng=rngs)
-    bad = []
-    for (row_inputs, expected), labels in zip(table, settled.labels):
-        for port, want in expected.items():
-            if labels[port] != want:
-                bad.append({"inputs": dict(row_inputs), "port": port,
-                            "expected": want, "got": labels[port]})
+    return judge_table(table, settled.labels)
+
+
+def judge_table(table, labels) -> TruthTableResult:
+    """Compare the settled labels of each row of `table` with its expected
+    labels; every mismatching port is one counterexample."""
+    bad = [{"inputs": dict(row_inputs), "port": port, "expected": want, "got": got[port]}
+           for (row_inputs, expected), got in zip(table, labels)
+           for port, want in expected.items() if got[port] != want]
     return TruthTableResult(passed=not bad, counterexamples=bad)
 
 
@@ -485,22 +540,28 @@ def run_flipflop(circuit: CircuitGraph, pulse_schedule, readout: LogicalReadout,
 
     pulse_schedule: list of (port, t_on, t_off) with port in {set, reset};
     amplitude is PULSE_AMPLITUDE. Overlapping set and reset pulses raise
-    AmbiguousStateError. Returns (list of (time, bit) read after each pulse
-    and at the end of the final hold, ledger of bit transitions).
+    AmbiguousStateError, and noise > 0 without `rng` raises ValueError.
+    Returns (list of (time, bit) read after each pulse and at the end of the
+    final hold, ledger of bit transitions).
     """
+    x = np.zeros(circuit.dim) if x0 is None else np.asarray(x0, dtype=float)
+    holds = latch_holds(circuit, pulse_schedule, readout, x, hold_after=hold_after, noise=noise,
+                        gen=None if rng is None else rng.generator())
+    return read_latch(circuit, holds, readout, pulsed=bool(pulse_schedule))
+
+
+def latch_holds(circuit: CircuitGraph, pulse_schedule, readout: LogicalReadout, x0,
+                hold_after=None, noise=0.0, gen=None):
+    """Integrate one latch state (n,) or a batch (rows, n) through the pulse
+    schedule of run_flipflop, all rows in one integration, with `noise` and
+    `gen` as integrate_circuit takes them. Returns (t, states) at the end of
+    every hold that reads a bit: each hold after the first pulse, or the one
+    hold of a schedule without pulses."""
     pulses = sorted(pulse_schedule, key=lambda q: q[1])
     for a in pulses:
         for b in pulses:
             if a is not b and a[0] != b[0] and max(a[1], b[1]) < min(a[2], b[2]):
                 raise AmbiguousStateError("set and reset pulses overlap (symmetric race)")
-    dt = readout.dt
-    x = np.zeros(circuit.dim) if x0 is None else np.asarray(x0, dtype=float).copy()
-    gen = rng.generator() if (rng is not None and noise > 0.0) else None
-    space = flipflop_space()
-    ledger = IrreversibilityLedger()
-    readings = []
-    prev_bit = None
-
     events = []
     t_cursor = 0.0
     for port, t_on, t_off in pulses:
@@ -512,27 +573,37 @@ def run_flipflop(circuit: CircuitGraph, pulse_schedule, readout: LogicalReadout,
     tail = hold_after if hold_after is not None else readout.t_max
     events.append((t_cursor, t_cursor + tail, {}))
 
+    x = x0
+    holds = []
     pulsed = False
     for t0, t1, inputs in events:
         if t1 <= t0:
             continue
-        traj = integrate_circuit(circuit, {"set": 0.0, "reset": 0.0, **inputs}, x, t1 - t0,
-                                 dt=dt, noise=noise, gen=gen)
-        x = traj[-1]
+        x = integrate_circuit(circuit, {"set": 0.0, "reset": 0.0, **inputs}, x, t1 - t0,
+                              dt=readout.dt, noise=noise, gen=gen)[-1]
         if inputs:
             pulsed = True
-            continue
-        if pulses and not pulsed:
-            continue  # latch not set yet: holds before the first pulse carry no bit
-        # read the stored bit at the end of every post-pulse hold segment
+        elif pulsed or not pulses:
+            holds.append((t1, x))  # holds before the first pulse carry no bit
+    return holds
+
+
+def read_latch(circuit: CircuitGraph, holds, readout: LogicalReadout, pulsed):
+    """The stored bit of one latch at the end of each hold, (t, state) as
+    latch_holds gives them, and the ledger of its jumps. An ambiguous state
+    raises AmbiguousStateError, unless the schedule was `pulsed` and no bit
+    has been read yet (the pulse may still be switching the latch)."""
+    space = flipflop_space()
+    ledger = IrreversibilityLedger()
+    readings = []
+    for t, x in holds:
         try:
             bit = read_stored_bit(circuit, x, readout)
         except AmbiguousStateError:
-            if prev_bit is None and pulses:
+            if pulsed and not readings:
                 continue
             raise
-        readings.append((t1, bit))
-        if prev_bit is not None and bit != prev_bit:
-            ledger.append(t1, "jump", space.alpha * np.log(2.0), (prev_bit,), (bit,))
-        prev_bit = bit
+        if readings and bit != readings[-1][1]:
+            ledger.append(t, "jump", space.alpha * np.log(2.0), (readings[-1][1],), (bit,))
+        readings.append((t, bit))
     return readings, ledger

@@ -32,12 +32,14 @@ from .circuits import (
     GateParams,
     LogicalReadout,
     build_gate,
+    judge_table,
+    latch_holds,
     logical_table,
-    run_flipflop,
-    verify_truth_table,
+    read_latch,
+    settle_and_read,
 )
 from .config import RunConfig, parse_config
-from .errors import InvalidConfigError, MetrilabError
+from .errors import AmbiguousStateError, InvalidConfigError, MetrilabError
 from .experiments import run_exp1, run_exp2, run_exp3, run_exp4
 from .experiments.base import ExperimentResult, jsonable, sweep, write_json, write_result
 from .metrics import (
@@ -88,29 +90,33 @@ def _handle_exp4(cfg: RunConfig, seed, out, threads):
 
 
 def _gate_rows(gcfg, seed):
+    """One row per gate and noise level (0, then `[gates] noise`). Both levels
+    of a truth table settle as one batch, the noisy row j of gate i drawing
+    from SeededRng(seed).derive(i).derive(j); both latch runs are one 2-row
+    integration, the noisy one drawing from SeededRng(seed).derive(99)."""
     readout = LogicalReadout()
+    levels = (0.0, gcfg.noise)
     rows = []
     rng = SeededRng(seed)
     for i, kind in enumerate(("NOT", "AND", "OR", "NAND", "NOR", "XOR")):
-        circuit = build_gate(kind, gcfg)
         table = logical_table(kind)
-        for noise in (0.0, gcfg.noise):
-            res = verify_truth_table(circuit, table, readout, noise=noise,
-                                     rng=rng.derive(i) if noise else None)
+        n = len(table)
+        settled = settle_and_read(build_gate(kind, gcfg), [row for row, _ in table] * 2, readout,
+                                  noise=[0.0] * n + [gcfg.noise] * n,
+                                  rng=[None] * n + [rng.derive(i).derive(j) for j in range(n)])
+        for h, noise in enumerate(levels):
+            res = judge_table(table, settled.labels[h * n:(h + 1) * n])
             rows.append({"gate": kind, "noise": noise, "passed": res.passed,
                          "counterexamples": len(res.counterexamples)})
     ff = build_gate("FLIPFLOP", gcfg)
-    for noise in (0.0, gcfg.noise):
-        ok = True
+    holds = latch_holds(ff, [("set", 5.0, 10.0), ("reset", 40.0, 45.0)], readout,
+                        np.zeros((2, ff.dim)), hold_after=30.0, noise=levels,
+                        gen=[None, rng.derive(99).generator()])
+    for h, noise in enumerate(levels):
         try:
-            readings, _ = run_flipflop(
-                ff,
-                [("set", 5.0, 10.0), ("reset", 40.0, 45.0)],
-                readout, hold_after=30.0, noise=noise,
-                rng=SeededRng(seed).derive(99) if noise else None)
-            bits = [b for _, b in readings]
-            ok = bits[-2:] == [1, 0] if len(bits) >= 2 else False
-        except MetrilabError:
+            readings, _ = read_latch(ff, [(t, x[h]) for t, x in holds], readout, pulsed=True)
+            ok = [b for _, b in readings][-2:] == [1, 0]
+        except AmbiguousStateError:
             ok = False
         rows.append({"gate": "FLIPFLOP", "noise": noise, "passed": ok, "counterexamples": 0 if ok else 1})
     return rows

@@ -12,8 +12,10 @@ from metrilab.circuits import (
     build_gate,
     flipflop_space,
     integrate_circuit,
+    latch_holds,
     logical_table,
     logistic,
+    read_latch,
     run_flipflop,
     settle_and_read,
     verify_truth_table,
@@ -328,3 +330,135 @@ class TestBatchedAgainstPerRowOracle:
         assert cli_main(["gates", "--seed", "0", "--out", str(tmp_path), "--quiet"]) == 0
         with open(os.path.join(GOLDEN, "gates.csv"), "rb") as fh:
             assert (tmp_path / "gates.csv").read_bytes() == fh.read()
+
+
+def reference_latch_holds(circuit, schedule, readout, hold_after, noise=0.0, gen=None):
+    """One latch run, 1-D and per step: (t, state) at the end of each
+    post-pulse hold, for a schedule of separated pulses."""
+    x = np.zeros(circuit.dim)
+    holds, t = [], 0.0
+    segments = []
+    for port, t_on, t_off in sorted(schedule, key=lambda q: q[1]):
+        segments += [(t_on, {}), (t_off, {port: 2.0})]
+    segments.append((segments[-1][0] + hold_after, {}))
+    for t_end, pulse in segments:
+        x = reference_integrate(circuit, {"set": 0.0, "reset": 0.0, **pulse}, x, t_end - t,
+                                readout.dt, noise=noise, gen=gen)[-1]
+        if not pulse and t > 0.0:
+            holds.append((t_end, x))
+        t = t_end
+    return holds
+
+
+LATCH_SCHEDULE = [("set", 5.0, 10.0), ("reset", 40.0, 45.0)]
+
+
+class TestMixedNoiseBatches:
+    """A batch whose rows carry different noise levels reads each row as the
+    batch of its own level does."""
+
+    @staticmethod
+    def assert_mixed_equals_split(circuit, rows, level, rngs, x0=None):
+        n = len(rows)
+        mixed = settle_and_read(circuit, rows * 2, READOUT, x0=None if x0 is None else np.vstack([x0, x0]),
+                                noise=[0.0] * n + [level] * n, rng=[None] * n + rngs)
+        clean = settle_and_read(circuit, rows, READOUT, x0=x0)
+        noisy = settle_and_read(circuit, rows, READOUT, x0=x0, noise=level, rng=rngs)
+        assert mixed.labels == clean.labels + noisy.labels
+        assert mixed.steps.tolist() == clean.steps.tolist() + noisy.steps.tolist()
+        assert np.array_equal(mixed.states, np.vstack([clean.states, noisy.states]))
+
+    @pytest.mark.parametrize("level", (0.0, 1e-3))
+    @pytest.mark.parametrize("kind", ALL_GATES)
+    def test_gate_table_at_two_levels(self, kind, level):
+        rows = [row for row, _ in logical_table(kind)]
+        rngs = [SeededRng(13).derive(j) for j in range(len(rows))]
+        self.assert_mixed_equals_split(build_gate(kind), rows, level, rngs)
+
+    @pytest.mark.parametrize("level", (0.0, 1e-3))
+    def test_flipflop_hold_at_two_levels(self, level):
+        rngs = [SeededRng(4).derive(j) for j in range(2)]
+        self.assert_mixed_equals_split(build_gate("FLIPFLOP"), [{"set": 0.0, "reset": 0.0}] * 2,
+                                       level, rngs, x0=np.eye(2))
+
+    @staticmethod
+    def assert_noisy_half_raises_as_alone(circuit, rows, readout, level, error):
+        n = len(rows)
+        rngs = [SeededRng(6).derive(j) for j in range(n)]
+        with pytest.raises(error) as alone:
+            settle_and_read(circuit, rows, readout, noise=level, rng=rngs)
+        with pytest.raises(error) as batch:
+            settle_and_read(circuit, rows * 2, readout, noise=[0.0] * n + [level] * n,
+                            rng=[None] * n + rngs)
+        assert str(batch.value) == str(alone.value)
+        return alone.value, batch.value
+
+    def test_noisy_half_that_cannot_settle_raises_as_alone(self):
+        # the clean AND table settles; at noise 1 the state keeps crossing the band
+        rows = [row for row, _ in logical_table("AND")]
+        alone, batch = self.assert_noisy_half_raises_as_alone(build_gate("AND"), rows, READOUT, 1.0,
+                                                              NoSettleError)
+        assert np.array_equal(batch.final_state, alone.final_state)
+
+    def test_noisy_half_that_keeps_moving_raises_as_alone(self):
+        # a clean oscillator with zero net drive settles; with a drift of 1e-3
+        # and noise 1e-6 (tol 1e-4) it creeps inside the low interval
+        circ = CircuitGraph({"o": NodeSpec("oscillator", {"omega": 2.0})}, [],
+                            {"in": [("o", 1.0)]}, {"out": "o"})
+        readout = LogicalReadout(t_max=5.0)
+        assert settle_and_read(circ, [{"in": -2.0}], readout).labels == [{"out": 0}]
+        self.assert_noisy_half_raises_as_alone(circ, [{"in": -2.0 + 1e-3}], readout, 1e-6,
+                                               NonFixedPointError)
+
+    @pytest.mark.parametrize("params", (GateParams(), GateParams(h_ff=2.5)), ids=("default", "h_ff"))
+    def test_two_row_latch_reads_as_two_runs(self, params):
+        ff = build_gate("FLIPFLOP", params)
+        holds = latch_holds(ff, LATCH_SCHEDULE, READOUT, np.zeros((2, 2)), hold_after=30.0,
+                            noise=(0.0, 1e-3), gen=[None, SeededRng(7).generator()])
+        for h, (noise, rng) in enumerate(((0.0, None), (1e-3, SeededRng(7)))):
+            row = [(t, x[h]) for t, x in holds]
+            # the row integrated alone as one state, and the per-step reference,
+            # whose sums differ in the last bits at h_ff = 2.5
+            alone = latch_holds(ff, LATCH_SCHEDULE, READOUT, np.zeros(2), hold_after=30.0,
+                                noise=noise, gen=None if rng is None else rng.generator())
+            ref = reference_latch_holds(ff, LATCH_SCHEDULE, READOUT, 30.0, noise=noise,
+                                        gen=None if rng is None else rng.generator())
+            assert [t for t, _ in row] == [t for t, _ in alone] == [t for t, _ in ref] == [40.0, 75.0]
+            assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(row, alone))
+            assert all(np.allclose(x, y, rtol=1e-12, atol=0.0) for (_, x), (_, y) in zip(row, ref))
+            readings, ledger = read_latch(ff, row, READOUT, pulsed=True)
+            alone, alone_ledger = run_flipflop(ff, LATCH_SCHEDULE, READOUT, hold_after=30.0,
+                                               noise=noise, rng=rng)
+            assert readings == alone
+            assert ledger.entries == alone_ledger.entries
+            if h == 0:  # the reset pulse cannot switch the h_ff = 2.5 latch
+                assert [b for _, b in readings] == ([1, 0] if params.h_ff == 2.0 else [1, 1])
+
+
+class TestNoiseNeedsAGenerator:
+    def test_integrate_without_generator_raises(self):
+        with pytest.raises(ValueError):
+            integrate_circuit(build_gate("FLIPFLOP"), {"set": 2.0, "reset": 0.0}, [0.2, 0.6], 1.0, noise=5.0)
+
+    def test_row_without_generator_raises(self):
+        ff = build_gate("FLIPFLOP")
+        with pytest.raises(ValueError, match="row 1"):
+            integrate_circuit(ff, {"set": 0.0, "reset": 0.0}, np.eye(2), 1.0, noise=[0.0, 1e-3],
+                              gen=[SeededRng(1).generator(), None])
+        # a noiseless row needs no generator
+        got = integrate_circuit(ff, {"set": 0.0, "reset": 0.0}, np.eye(2), 1.0, noise=[0.0, 1e-3],
+                                gen=[None, SeededRng(1).generator()])
+        assert np.array_equal(got[:, 0], integrate_circuit(ff, {"set": 0.0, "reset": 0.0}, [1.0, 0.0], 1.0))
+
+    def test_one_generator_with_row_levels_raises(self):
+        with pytest.raises(ValueError, match="one generator per row"):
+            integrate_circuit(build_gate("FLIPFLOP"), {"set": 0.0, "reset": 0.0}, np.eye(2), 1.0,
+                              noise=np.array([0.0, 1e-3]), gen=SeededRng(1).generator())
+
+    def test_run_flipflop_without_rng_raises(self):
+        with pytest.raises(ValueError):
+            run_flipflop(build_gate("FLIPFLOP"), [("set", 5.0, 10.0)], READOUT, hold_after=30.0, noise=3.0)
+
+    def test_settle_without_rng_raises(self):
+        with pytest.raises(ValueError):
+            settle_and_read(build_gate("AND"), [{"in1": 1.0, "in2": 0.0}], READOUT, noise=1e-3)

@@ -1,15 +1,20 @@
 import dataclasses
 import json
 import os
+import pathlib
 import platform
 
 import numpy as np
 import pytest
 
+import metrilab.circuits as circuits
+import metrilab.cli as cli
+from metrilab.circuits import LogicalReadout, build_gate, logical_table, run_flipflop, verify_truth_table
 from metrilab.cli import main
 from metrilab.config import (_SECTIONS, RunConfig, build_run_config, parse_config,
                              parse_config_text, parse_value)
-from metrilab.errors import InvalidConfigError
+from metrilab.errors import InvalidConfigError, MetrilabError
+from metrilab.numerics import SeededRng
 
 
 class TestValueParsing:
@@ -367,3 +372,91 @@ class TestCLI:
         rep = json.loads((out / "erasure.report.json").read_text())
         assert rep["trials"] == 150
         assert "ledger_entropy" in rep
+
+
+# ---------------------------------------------------------------------------
+# gates: one batch per table and one 2-row latch against the per-level loop
+# ---------------------------------------------------------------------------
+
+def per_level_gate_rows(gcfg, seed):
+    """The gates rows as a loop over the two noise levels: one truth-table
+    settle and one latch run per level."""
+    from metrilab.circuits import LogicalReadout, build_gate, logical_table, run_flipflop, verify_truth_table
+    from metrilab.errors import MetrilabError
+    from metrilab.numerics import SeededRng
+
+    readout = LogicalReadout()
+    rows = []
+    rng = SeededRng(seed)
+    for i, kind in enumerate(("NOT", "AND", "OR", "NAND", "NOR", "XOR")):
+        circuit = build_gate(kind, gcfg)
+        table = logical_table(kind)
+        for noise in (0.0, gcfg.noise):
+            res = verify_truth_table(circuit, table, readout, noise=noise,
+                                     rng=rng.derive(i) if noise else None)
+            rows.append({"gate": kind, "noise": noise, "passed": res.passed,
+                         "counterexamples": len(res.counterexamples)})
+    ff = build_gate("FLIPFLOP", gcfg)
+    for noise in (0.0, gcfg.noise):
+        ok = True
+        try:
+            readings, _ = run_flipflop(
+                ff, [("set", 5.0, 10.0), ("reset", 40.0, 45.0)], readout, hold_after=30.0,
+                noise=noise, rng=SeededRng(seed).derive(99) if noise else None)
+            bits = [b for _, b in readings]
+            ok = bits[-2:] == [1, 0] if len(bits) >= 2 else False
+        except MetrilabError:
+            ok = False
+        rows.append({"gate": "FLIPFLOP", "noise": noise, "passed": ok, "counterexamples": 0 if ok else 1})
+    return rows
+
+
+def recorded_gate_rows(monkeypatch, rows_fn, gcfg, seed):
+    """rows_fn's rows, with every settled batch and every latch reading's
+    hold states recorded, wherever they are called from."""
+    settles, latches = [], []
+    settle, read = circuits.settle_and_read, circuits.read_latch
+
+    def record_settle(*args, **kwargs):
+        settles.append(settle(*args, **kwargs))
+        return settles[-1]
+
+    def record_read(circuit, holds, *args, **kwargs):
+        latches.append([(t, np.array(x)) for t, x in holds])
+        return read(circuit, holds, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        for module in (circuits, cli):
+            m.setattr(module, "settle_and_read", record_settle, raising=False)
+            m.setattr(module, "read_latch", record_read, raising=False)
+        rows = rows_fn(gcfg, seed)
+    return rows, settles, latches
+
+
+GATES_CONFIGS = {
+    "default": "",
+    "golden": pathlib.Path(__file__).with_name("golden").joinpath("cli", "gates.cfg").read_text(),
+    "noise0": "[gates]\nnoise = 0\n",
+    "h_ff": "[gates]\nh_ff = 2.5\n",
+}
+
+
+class TestGateRowsAgainstPerLevelLoop:
+    @pytest.mark.parametrize("config, seed", [("default", s) for s in range(4)]
+                             + [(name, 0) for name in ("golden", "noise0", "h_ff")])
+    def test_batched_rows_equal_per_level_loop(self, monkeypatch, config, seed):
+        gcfg = build_run_config(parse_config_text(GATES_CONFIGS[config])).gates
+        rows, settles, latches = recorded_gate_rows(monkeypatch, cli._gate_rows, gcfg, seed)
+        want, want_settles, want_latches = recorded_gate_rows(monkeypatch, per_level_gate_rows, gcfg, seed)
+        assert rows == want
+        # six tables settled as one batch each, then the latch's hold check
+        assert len(settles) == 7 and len(want_settles) == 13
+        pairs = [want_settles[2 * i: 2 * i + 2] for i in range(6)] + [want_settles[12:]]
+        for got, parts in zip(settles, pairs):
+            assert got.labels == [labels for p in parts for labels in p.labels]
+            assert got.steps.tolist() == [step for p in parts for step in p.steps.tolist()]
+            assert np.array_equal(got.states, np.vstack([p.states for p in parts]))
+        assert len(latches) == len(want_latches) == 2
+        for got, ref in zip(latches, want_latches):
+            assert [t for t, _ in got] == [t for t, _ in ref]
+            assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(got, ref))

@@ -66,6 +66,25 @@ class TestCircuitText:
         with pytest.raises(ValueError):
             load_truth_table("in1,in2\n0,0\n")
 
+    @pytest.mark.parametrize("line", [
+        "node a", "edge a b", "input in1 a", "encoding out", "circuit",
+        "node a activation gain", "node a activation gain=high", "node a bogus", "edge a b heavy",
+    ])
+    def test_malformed_circuit_line_named(self, line):
+        with pytest.raises(ValueError, match="^line 3: "):
+            load_circuit(f"# header\nnode b activation\n{line}\nencoding out b\n")
+
+    @pytest.mark.parametrize("text, match", [
+        ("", "empty"),
+        ("\n  \n", "empty"),
+        ("in1,out:out\n\n0,1\n0\n", "^line 4: "),
+        ("in1,out:out\n0,high\n", "^line 2: "),
+        ("in1,out:out\nlow,1\n", "^line 2: "),
+    ])
+    def test_malformed_truth_table_named(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            load_truth_table(text)
+
 
 class TestPerTrialCSV:
     def test_bitflip_trials_csv(self, tmp_path):
