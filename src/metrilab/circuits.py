@@ -166,6 +166,52 @@ class CircuitGraph:
         return float(x[self._index[node]])
 
 
+class CircuitStack:
+    """All-activation circuits that settle as one batch, row i running
+    circuits[i]: settle_and_read and integrate_circuit take a stack where
+    they take a CircuitGraph, with one inputs dict per row.
+
+    Each circuit's nodes are right-aligned in a state of the widest
+    circuit's width. The padding nodes in front of them have no edges and
+    draw no noise; their field is 1/2 - (x + 1/2), so from 0 they stay at 0.
+    Every circuit must hold each encoding port in the same right-aligned
+    column, so that the labels are read at one column for every row."""
+
+    def __init__(self, circuits):
+        self.circuits = list(circuits)
+        self.widths = [c.dim for c in self.circuits]
+        n = self.dim = max(self.widths)
+        first = self.circuits[0]
+        self.encoding_ports = dict(first.encoding_ports)
+        self._index = {node: n - first.dim + first._index[node] for node in self.encoding_ports.values()}
+        rows = len(self.circuits)
+        self._WT = np.zeros((rows, n, n))
+        self._bias = np.zeros((rows, n))
+        self._neg_gain = np.zeros((rows, n))
+        self._pad = np.full((rows, n), 0.5)  # cancels a padding node's logistic(0) = 1/2
+        for r, c in enumerate(self.circuits):
+            cols = {port: n - c.dim + c._index[node] for port, node in c.encoding_ports.items()}
+            if not c._all_act or cols != {p: self._index[v] for p, v in self.encoding_ports.items()}:
+                raise ValueError(f"{c.name or 'circuit'} cannot join the stack: it needs only activation "
+                                 "nodes and the encoding ports in the columns of the first circuit")
+            self._WT[r, n - c.dim:, n - c.dim:] = c._WT
+            self._bias[r, n - c.dim:] = c._bias
+            self._neg_gain[r, n - c.dim:] = c._neg_gain
+            self._pad[r, n - c.dim:] = 0.0
+
+    def injection(self, inputs):
+        U = np.zeros((len(inputs), self.dim))
+        for r, (c, row) in enumerate(zip(self.circuits, inputs)):
+            U[r, self.dim - c.dim:] = c.injection(row)
+        return U
+
+    def field(self, x, u):
+        """CircuitGraph.field of every row's circuit, for states (rows, n);
+        x + 0.0 is x, so a circuit's own columns are unchanged by the padding."""
+        v = np.matmul(x[:, None, :], self._WT)[:, 0] + u
+        return 1.0 / (1.0 + np.exp(self._neg_gain * (v + self._bias))) - (x + self._pad)
+
+
 def integrate_circuit(circuit: CircuitGraph, inputs, x0, T, dt=0.02, noise=0.0, gen=None):
     """Clamped-input RK4 integration (plus optional additive state noise) of
     one state (n,) or a batch (rows, n); returns the time series including
@@ -175,28 +221,29 @@ def integrate_circuit(circuit: CircuitGraph, inputs, x0, T, dt=0.02, noise=0.0, 
     `noise`, or for a batch a list with one per row: row i draws from gen[i]
     alone at level noise[i] (or at `noise` when it is one level), and a
     noiseless row may hold None. Noise > 0 without a generator raises
-    ValueError."""
+    ValueError. `circuit` may also be a CircuitStack, whose row i draws noise
+    for its own circuit's nodes only."""
     steps = int(round(T / dt))
     x = np.array(x0, dtype=float)
     u = circuit.injection(inputs)
     f = lambda s: circuit.field(s, u)
-    kicks, noisy = _state_kicks(noise, gen, steps, x.shape, dt)
+    kicks = _state_kicks(circuit, noise, gen, steps, x.shape, dt)
     out = np.empty((steps + 1,) + x.shape)
     out[0] = x
     for k in range(steps):
         x = rk4_step(f, x, dt)
         if kicks is not None:
-            x[noisy] += kicks[k]
+            x = x + kicks[k]  # a noiseless row adds exact zeros
         out[k + 1] = x
     return out
 
 
-def _state_kicks(noise, gen, steps, shape, dt):
-    """Each step's additive noise for integrate_circuit, and the rows of the
-    state it lands on; (None, None) when no row is noisy."""
+def _state_kicks(circuit, noise, gen, steps, shape, dt):
+    """Each step's additive noise for integrate_circuit, zero on noiseless
+    rows; None when no row is noisy."""
     levels = np.asarray(noise, dtype=float)
     if not (levels > 0.0).any():
-        return None, None
+        return None
     if gen is None:
         raise ValueError("state noise > 0 needs a generator")
     if isinstance(gen, np.random.Generator):
@@ -204,17 +251,15 @@ def _state_kicks(noise, gen, steps, shape, dt):
             raise ValueError("one generator draws at one noise level: give one generator per row")
         kicks = gen.standard_normal((steps,) + shape)
         kicks *= noise * np.sqrt(dt)
-        return kicks, slice(None)
+        return kicks
     levels = np.broadcast_to(levels, (len(gen),))
-    noisy = np.flatnonzero(levels > 0.0)
-    for r in noisy:
+    kicks = np.zeros((steps,) + shape)
+    for r in np.flatnonzero(levels > 0.0):
         if gen[r] is None:
             raise ValueError(f"row {r} has state noise {levels[r]} but no generator")
-    kicks = np.stack([gen[r].standard_normal((steps, shape[1])) for r in noisy], axis=1)
-    kicks *= levels[noisy, None] * np.sqrt(dt)
-    if noisy[-1] - noisy[0] + 1 == len(noisy):
-        noisy = slice(noisy[0], noisy[-1] + 1)  # one run of rows: a slice indexes faster
-    return kicks, noisy
+        w = circuit.widths[r] if isinstance(circuit, CircuitStack) else shape[1]
+        kicks[:, r, shape[1] - w:] = gen[r].standard_normal((steps, w)) * (levels[r] * np.sqrt(dt))
+    return kicks
 
 
 _SETTLE_CHUNK = 32  # steps integrated between settle checks
@@ -232,7 +277,8 @@ def settle_and_read(circuit: CircuitGraph, inputs, readout: LogicalReadout,
     state and `rng` one SeededRng per row (None for a noiseless row), `noise`
     is one state-noise level or one per row, and every row reads exactly as
     if it had been settled alone. A row's settle tolerance is `tol` when it
-    is noiseless and max(tol, 8 * noise) otherwise.
+    is noiseless and max(tol, 8 * noise) otherwise. `circuit` may be a
+    CircuitStack, one circuit per row.
 
     Raises NoSettleError if an encoding state is still in the forbidden band
     at t_max, and NonFixedPointError if labels are stable but the state keeps

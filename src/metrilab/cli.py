@@ -29,6 +29,7 @@ from . import __version__
 from .cce import landauer_bound, simulate_bitflip, simulate_erasure
 from .circuits import (
     PULSE_AMPLITUDE,
+    CircuitStack,
     GateParams,
     LogicalReadout,
     build_gate,
@@ -90,22 +91,30 @@ def _handle_exp4(cfg: RunConfig, seed, out, threads):
 
 
 def _gate_rows(gcfg, seed):
-    """One row per gate and noise level (0, then `[gates] noise`). Both levels
-    of a truth table settle as one batch, the noisy row j of gate i drawing
-    from SeededRng(seed).derive(i).derive(j); both latch runs are one 2-row
+    """One row per gate and noise level (0, then `[gates] noise`). Every
+    truth-table row of the six gates at both levels settles in one
+    CircuitStack batch, the noisy row j of gate i drawing from
+    SeededRng(seed).derive(i).derive(j); both latch runs are one 2-row
     integration, the noisy one drawing from SeededRng(seed).derive(99)."""
     readout = LogicalReadout()
     levels = (0.0, gcfg.noise)
-    rows = []
     rng = SeededRng(seed)
-    for i, kind in enumerate(("NOT", "AND", "OR", "NAND", "NOR", "XOR")):
-        table = logical_table(kind)
-        n = len(table)
-        settled = settle_and_read(build_gate(kind, gcfg), [row for row, _ in table] * 2, readout,
-                                  noise=[0.0] * n + [gcfg.noise] * n,
-                                  rng=[None] * n + [rng.derive(i).derive(j) for j in range(n)])
-        for h, noise in enumerate(levels):
-            res = judge_table(table, settled.labels[h * n:(h + 1) * n])
+    kinds = ("NOT", "AND", "OR", "NAND", "NOR", "XOR")
+    tables = [logical_table(kind) for kind in kinds]
+    circuits, inputs, row_noise, rngs = [], [], [], []
+    for i, (gate, table) in enumerate(zip([build_gate(kind, gcfg) for kind in kinds], tables)):
+        for level in levels:
+            circuits += [gate] * len(table)
+            inputs += [row for row, _ in table]
+            row_noise += [level] * len(table)
+            rngs += [rng.derive(i).derive(j) if level else None for j in range(len(table))]
+    settled = settle_and_read(CircuitStack(circuits), inputs, readout, noise=row_noise, rng=rngs)
+    rows = []
+    start = 0
+    for kind, table in zip(kinds, tables):
+        for noise in levels:
+            res = judge_table(table, settled.labels[start:start + len(table)])
+            start += len(table)
             rows.append({"gate": kind, "noise": noise, "passed": res.passed,
                          "counterexamples": len(res.counterexamples)})
     ff = build_gate("FLIPFLOP", gcfg)

@@ -6,6 +6,7 @@ import pytest
 from metrilab.cce import preserved_information
 from metrilab.circuits import (
     CircuitGraph,
+    CircuitStack,
     GateParams,
     LogicalReadout,
     NodeSpec,
@@ -435,6 +436,69 @@ class TestMixedNoiseBatches:
                 assert [b for _, b in readings] == ([1, 0] if params.h_ff == 2.0 else [1, 1])
 
 
+class TestCircuitStack:
+    """Rows of different gates settled as one CircuitStack batch read as each
+    gate's own batch does, in the gate's columns; the padding rests at 0."""
+
+    @staticmethod
+    def stacked_and_alone(kinds, levels, seed=3):
+        circuits, inputs, noise, rngs, alone = [], [], [], [], []
+        for i, kind in enumerate(kinds):
+            gate, rows = build_gate(kind), [row for row, _ in logical_table(kind)]
+            for level in levels:
+                row_rngs = [SeededRng(seed).derive(i).derive(j) for j in range(len(rows))]
+                alone.append((gate, settle_and_read(gate, rows, READOUT, noise=level,
+                                                    rng=row_rngs if level else None)))
+                circuits += [gate] * len(rows)
+                inputs += rows
+                noise += [level] * len(rows)
+                rngs += row_rngs if level else [None] * len(rows)
+        return settle_and_read(CircuitStack(circuits), inputs, READOUT, noise=noise, rng=rngs), alone
+
+    @pytest.mark.parametrize("levels", ((0.0,), (1e-3,), (0.0, 1e-3), (1e-3, 0.0)))
+    def test_stacked_gates_read_as_each_gate_alone(self, levels):
+        stacked, alone = self.stacked_and_alone(ALL_GATES, levels)
+        start = 0
+        for gate, part in alone:
+            rows, pad = slice(start, start + len(part.labels)), 4 - gate.dim
+            assert stacked.labels[rows] == part.labels
+            assert stacked.steps[rows].tolist() == part.steps.tolist()
+            assert np.array_equal(stacked.states[rows, pad:], part.states)
+            assert (stacked.states[rows, :pad] == 0.0).all()
+            start += len(part.labels)
+        assert start == len(stacked.labels) == 22 * len(levels)
+
+    def test_field_is_each_circuits_field(self):
+        gates = [build_gate(kind) for kind in ALL_GATES]
+        stack = CircuitStack(gates)
+        x = np.random.default_rng(0).random((len(gates), 4))
+        inputs = [{"in": 1.0} if g.name == "NOT" else {"in1": 1.0, "in2": 0.0} for g in gates]
+        dx = stack.field(x, stack.injection(inputs))
+        for r, (g, row) in enumerate(zip(gates, inputs)):
+            assert np.array_equal(dx[r, 4 - g.dim:], g.field(x[r, 4 - g.dim:], g.injection(row)))
+
+    def test_unsettled_row_raises_as_its_gate_alone(self):
+        # NOT settles clean; AND at noise 1 keeps crossing the band
+        rows = [row for row, _ in logical_table("AND")]
+        rngs = [SeededRng(6).derive(j) for j in range(4)]
+        with pytest.raises(NoSettleError) as alone:
+            settle_and_read(build_gate("AND"), rows, READOUT, noise=1.0, rng=rngs)
+        stack = CircuitStack([build_gate("NOT")] * 2 + [build_gate("AND")] * 4)
+        with pytest.raises(NoSettleError) as stacked:
+            settle_and_read(stack, [{"in": 0.0}, {"in": 1.0}] + rows, READOUT,
+                            noise=[0.0, 0.0] + [1.0] * 4, rng=[None, None] + rngs)
+        assert str(stacked.value) == str(alone.value)
+        assert np.array_equal(stacked.value.final_state, alone.value.final_state)
+
+    def test_unstackable_circuits_raise(self):
+        with pytest.raises(ValueError, match="activation"):
+            CircuitStack([build_gate("NOT"), CircuitGraph({"o": NodeSpec("oscillator")}, [], {},
+                                                          {"out": "o"}, name="osc")])
+        # NAND's encoding node is its last one, the flip-flop's q its first
+        with pytest.raises(ValueError, match="columns"):
+            CircuitStack([build_gate("NAND"), build_gate("FLIPFLOP")])
+
+
 class TestNoiseNeedsAGenerator:
     def test_integrate_without_generator_raises(self):
         with pytest.raises(ValueError):
@@ -449,6 +513,16 @@ class TestNoiseNeedsAGenerator:
         got = integrate_circuit(ff, {"set": 0.0, "reset": 0.0}, np.eye(2), 1.0, noise=[0.0, 1e-3],
                                 gen=[None, SeededRng(1).generator()])
         assert np.array_equal(got[:, 0], integrate_circuit(ff, {"set": 0.0, "reset": 0.0}, [1.0, 0.0], 1.0))
+
+    def test_noisy_rows_apart_draw_as_alone(self):
+        ff = build_gate("FLIPFLOP")
+        x0 = np.array([[0.2, 0.6], [0.7, 0.1], [0.4, 0.5]])
+        got = integrate_circuit(ff, {"set": 2.0, "reset": 0.0}, x0, 1.0, noise=[1e-3, 0.0, 2e-3],
+                                gen=[SeededRng(1).generator(), None, SeededRng(2).generator()])
+        for r, (level, rng) in enumerate(((1e-3, SeededRng(1)), (0.0, None), (2e-3, SeededRng(2)))):
+            alone = integrate_circuit(ff, {"set": 2.0, "reset": 0.0}, x0[r], 1.0, noise=level,
+                                      gen=None if rng is None else rng.generator())
+            assert np.array_equal(got[:, r], alone)
 
     def test_one_generator_with_row_levels_raises(self):
         with pytest.raises(ValueError, match="one generator per row"):

@@ -375,16 +375,13 @@ class TestCLI:
 
 
 # ---------------------------------------------------------------------------
-# gates: one batch per table and one 2-row latch against the per-level loop
+# gates: one stacked batch for every table and one 2-row latch against the
+# per-level loop
 # ---------------------------------------------------------------------------
 
 def per_level_gate_rows(gcfg, seed):
     """The gates rows as a loop over the two noise levels: one truth-table
     settle and one latch run per level."""
-    from metrilab.circuits import LogicalReadout, build_gate, logical_table, run_flipflop, verify_truth_table
-    from metrilab.errors import MetrilabError
-    from metrilab.numerics import SeededRng
-
     readout = LogicalReadout()
     rows = []
     rng = SeededRng(seed)
@@ -449,13 +446,20 @@ class TestGateRowsAgainstPerLevelLoop:
         rows, settles, latches = recorded_gate_rows(monkeypatch, cli._gate_rows, gcfg, seed)
         want, want_settles, want_latches = recorded_gate_rows(monkeypatch, per_level_gate_rows, gcfg, seed)
         assert rows == want
-        # six tables settled as one batch each, then the latch's hold check
-        assert len(settles) == 7 and len(want_settles) == 13
-        pairs = [want_settles[2 * i: 2 * i + 2] for i in range(6)] + [want_settles[12:]]
-        for got, parts in zip(settles, pairs):
-            assert got.labels == [labels for p in parts for labels in p.labels]
-            assert got.steps.tolist() == [step for p in parts for step in p.steps.tolist()]
-            assert np.array_equal(got.states, np.vstack([p.states for p in parts]))
+        # the twelve table settles as one stacked batch, then the latch's hold check
+        assert len(settles) == 2 and len(want_settles) == 13
+        stacked, start = settles[0], 0
+        for part in want_settles[:12]:
+            rows_of = slice(start, start + len(part.labels))
+            pad = stacked.states.shape[1] - part.states.shape[1]
+            assert stacked.labels[rows_of] == part.labels
+            assert stacked.steps[rows_of].tolist() == part.steps.tolist()
+            assert np.array_equal(stacked.states[rows_of, pad:], part.states)
+            assert (stacked.states[rows_of, :pad] == 0.0).all()
+            start += len(part.labels)
+        assert start == len(stacked.labels)
+        assert settles[1].labels == want_settles[12].labels
+        assert np.array_equal(settles[1].states, want_settles[12].states)
         assert len(latches) == len(want_latches) == 2
         for got, ref in zip(latches, want_latches):
             assert [t for t, _ in got] == [t for t, _ in ref]
