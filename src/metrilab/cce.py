@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .errors import IntegrationDivergedError, InvalidConfigError, check_fields
-from .numerics import SeededRng, Trajectory
+from .numerics import BLOCK_ELEMENTS, SeededRng, Trajectory
 
 #: label index of separatrix-band states
 BOUNDARY = -1
@@ -260,13 +260,22 @@ def _hist_entropy(samples, bins, lo, hi):
     return float(merge_entropy(counts / n) + np.log(width))
 
 
-def _advance(params: DoubleWellParams, p, work, sched, noise, inv_gamma, step, phase):
-    """One kernel chunk ending at `step` of `phase`. A non-finite state raises
-    IntegrationDivergedError; the overflow warnings on the way there are
-    silenced because that error reports the divergence."""
+def _advance(params: DoubleWellParams, p, work, sched, gen, sigma, inv_gamma, step, phase):
+    """March over `sched` (one more entry than steps) to `step` of `phase`.
+
+    The noise is drawn and the kernel stepped a block of steps at a time; the
+    generator's stream is sequential, so the draws equal one whole draw. A
+    non-finite state at the end raises IntegrationDivergedError; the overflow
+    warnings on the way there are silenced because that error reports the
+    divergence."""
+    steps = len(sched) - 1
+    block = max(1, BLOCK_ELEMENTS // p.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        p, work = kernels.doublewell_chunk(p, work, sched, noise, params.a, params.b,
-                                           params.c, inv_gamma, params.dt)
+        for s in range(0, steps, block):
+            m = min(block, steps - s)
+            noise = sigma * gen.standard_normal((m, p.size))
+            p, work = kernels.doublewell_chunk(p, work, sched[s : s + m + 1], noise, params.a,
+                                               params.b, params.c, inv_gamma, params.dt)
     if not np.isfinite(p).all():
         raise IntegrationDivergedError(step, f"non-finite double-well state by {phase} step {step}")
     return p, work
@@ -291,11 +300,8 @@ def _run_protocol(params: DoubleWellParams, schedule, T_protocol, trials, rng: S
 
     burn_steps = int(round(params.burn_in / dt))
     if burn_steps > 0:
-        const_sched = np.full(burn_steps + 1, schedule[0])
-        noise = sigma * gen.standard_normal((burn_steps, trials))
-        work0 = np.zeros(trials)
-        p, _ = _advance(params, p, work0, const_sched, noise, inv_gamma,
-                        burn_steps, "burn-in")
+        p, _ = _advance(params, p, np.zeros(trials), np.full(burn_steps + 1, schedule[0]),
+                        gen, sigma, inv_gamma, burn_steps, "burn-in")
 
     work = np.zeros(trials)
     p0 = p.copy()
@@ -306,8 +312,7 @@ def _run_protocol(params: DoubleWellParams, schedule, T_protocol, trials, rng: S
     s = 0
     while s < steps:
         m = min(sample_every, steps - s)
-        noise = sigma * gen.standard_normal((m, trials))
-        p, work = _advance(params, p, work, schedule[s : s + m + 1], noise, inv_gamma,
+        p, work = _advance(params, p, work, schedule[s : s + m + 1], gen, sigma, inv_gamma,
                            s + m, "protocol")
         s += m
         snap_steps.append(s)

@@ -471,9 +471,9 @@ def load_circuit(text) -> CircuitGraph:
         input in2 a 1.0
         encoding out b
 
-    Unknown directives, missing or malformed arguments and references to
-    undeclared nodes raise ValueError; a malformed line is named by its
-    number.
+    Unknown directives, missing, extra or malformed arguments and references
+    to undeclared nodes raise ValueError; a malformed line is named by its
+    number. Only a node line takes arguments beyond its fixed ones.
     """
     nodes = {}
     edges = []
@@ -488,7 +488,8 @@ def load_circuit(text) -> CircuitGraph:
         kind, args = parts[0].lower(), parts[1:]
         if kind not in _DIRECTIVE_ARGS:
             raise ValueError(f"line {lineno}: unknown directive {kind!r}")
-        if len(args) < len(_DIRECTIVE_ARGS[kind].split()):
+        arity = len(_DIRECTIVE_ARGS[kind].split())
+        if len(args) < arity or (len(args) > arity and kind != "node"):
             raise ValueError(f"line {lineno}: {kind} needs {_DIRECTIVE_ARGS[kind]}, got {line!r}")
         try:
             if kind == "circuit":
@@ -515,8 +516,8 @@ def load_circuit(text) -> CircuitGraph:
 def load_truth_table(text):
     """Parse truth-table CSV rows: header names the input ports then the
     expected encoding ports prefixed with 'out:'; one row per corner. Empty
-    text, a row of another width or a cell that is not a number raises
-    ValueError, naming the line."""
+    text, a row of another width, a cell that is not a number or an expected
+    label other than 0 or 1 raises ValueError, naming the line."""
     lines = [(lineno, ln.strip()) for lineno, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("truth table is empty: it needs a header line")
@@ -535,6 +536,8 @@ def load_truth_table(text):
             expected = {h: int(c) for h, c in zip(out_cols, cells[len(in_cols):])}
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+        if not set(expected.values()) <= {0, 1}:
+            raise ValueError(f"line {lineno}: expected labels must be 0 or 1, got {ln!r}")
         table.append((inputs, expected))
     return table
 

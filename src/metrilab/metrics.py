@@ -20,7 +20,7 @@ from .errors import (
     UndefinedConsciousnessError,
     UndefinedIntelligenceError,
 )
-from .numerics import SeededRng
+from .numerics import BLOCK_ELEMENTS, SeededRng
 
 TUR_BOOTSTRAP = 200    # resamples behind tur_check's standard error
 TUR_MIN_SAMPLES = 100  # fewest currents tur_check accepts
@@ -92,6 +92,21 @@ def _bootstrap_index(size):
     return idx
 
 
+def _bootstrap_ratios(j):
+    """Var/mean^2 of each of tur_check's TUR_BOOTSTRAP resamples of `j`.
+
+    The resamples are gathered a block of rows at a time. Each row is reduced
+    along its own contiguous axis, so the result has the same bits as one
+    whole (TUR_BOOTSTRAP, j.size) gather."""
+    idx = _bootstrap_index(j.size)
+    rows = max(1, BLOCK_ELEMENTS // j.size)
+    bl = np.empty(TUR_BOOTSTRAP)
+    for r in range(0, TUR_BOOTSTRAP, rows):
+        boots = j[idx[r : r + rows]]
+        bl[r : r + rows] = boots.var(axis=1, ddof=1) / boots.mean(axis=1) ** 2
+    return bl
+
+
 def tur_check(current_samples, sigma_T):
     """Check Var(J_T)/E[J_T]^2 >= 2/Sigma_T (Sigma_T in nats) on currents.
 
@@ -109,9 +124,7 @@ def tur_check(current_samples, sigma_T):
         return {"lhs": np.inf, "rhs": rhs, "satisfied": True, "slack": np.inf,
                 "eps_stat": 0.0, "mean_zero": True}
     lhs = var / mean**2
-    boots = j[_bootstrap_index(j.size)]
-    bl = boots.var(axis=1, ddof=1) / boots.mean(axis=1) ** 2
-    se = float(bl.std(ddof=1))
+    se = float(_bootstrap_ratios(j).std(ddof=1))
     eps = 3.0 * se / rhs if np.isfinite(rhs) and rhs > 0 else 0.0
     satisfied = bool(lhs >= rhs * (1.0 - eps)) if np.isfinite(rhs) else True
     return {"lhs": float(lhs), "rhs": float(rhs), "satisfied": satisfied,
@@ -184,12 +197,20 @@ def mutual_information_quadrature(channel, z_atoms, weights):
     lo = float(m.min() - MI_PAD * channel.sigma)
     hi = float(m.max() + MI_PAD * channel.sigma)
     y = np.linspace(lo, hi, MI_Y_POINTS)
-    ll = channel.log_likelihood(y[None, :], z[:, None])  # (atoms, y)
-    p = np.exp(ll)
-    pmix = w @ p
-    with np.errstate(divide="ignore", invalid="ignore"):
-        integrand = np.where(p > 0, p * (ll - np.log(np.maximum(pmix, 1e-300))[None, :]), 0.0)
-    kl = np.trapezoid(integrand, y, axis=1)
+    # Blocks of atoms: every (atoms, y) temporary is a block, apart from p,
+    # which the mixture takes whole so that its gemv keeps one summation order.
+    rows = max(1, BLOCK_ELEMENTS // MI_Y_POINTS)
+    blocks = [slice(r, r + rows) for r in range(0, z.size, rows)]
+    p = np.empty((z.size, MI_Y_POINTS))
+    for b in blocks:
+        np.exp(channel.log_likelihood(y[None, :], z[b, None]), out=p[b])
+    log_mix = np.log(np.maximum(w @ p, 1e-300))[None, :]
+    kl = np.empty(z.size)
+    for b in blocks:
+        ll = channel.log_likelihood(y[None, :], z[b, None])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            integrand = np.where(p[b] > 0, p[b] * (ll - log_mix), 0.0)
+        kl[b] = np.trapezoid(integrand, y, axis=1)
     return float(w @ kl), kl
 
 

@@ -13,6 +13,10 @@ import numpy as np
 from .errors import NoConvergenceError, SingularMatrixError
 
 POWER_ITERATION_CAP = 10_000
+#: float64 elements (512 KiB) in one working block of a row-blocked statistic
+#: or a blocked noise draw; small enough that a block and its temporaries stay
+#: in a core's L2 cache
+BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from metrilab import cce, kernels
 from metrilab.cce import (
     BOUNDARY,
     DoubleWellParams,
@@ -16,7 +17,7 @@ from metrilab.cce import (
     simulate_erasure,
 )
 from metrilab.circuits import FLIPFLOP_BAND, flipflop_space
-from metrilab.errors import InvalidConfigError
+from metrilab.errors import IntegrationDivergedError, InvalidConfigError
 from metrilab.numerics import SeededRng, Trajectory
 
 OLD_BOUNDARY = "__boundary__"
@@ -348,3 +349,56 @@ class TestErasure:
         merges = [e for e in rep.ledger.entries if e.kind == "merge"]
         assert len(merges) == 1
         assert merges[0].entropy_nats == pytest.approx(np.log(2.0))
+
+
+def _advance_one_shot(params, p, work, sched, gen, sigma, inv_gamma, step, phase):
+    # cce._advance as it was before its noise was drawn in blocks: the whole
+    # (steps, trials) draw, then one kernel call
+    noise = sigma * gen.standard_normal((len(sched) - 1, p.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        p, work = kernels.doublewell_chunk(p, work, sched, noise, params.a, params.b,
+                                           params.c, inv_gamma, params.dt)
+    if not np.isfinite(p).all():
+        raise IntegrationDivergedError(step, f"non-finite double-well state by {phase} step {step}")
+    return p, work
+
+
+class TestBlockedNoise:
+    """The burn-in and each protocol chunk draw their noise a block of steps
+    at a time; the runs equal one whole draw per chunk, bit for bit."""
+
+    # 1000 burn-in steps and 125-step protocol chunks (500 steps, 4
+    # snapshots): at 1000 trials the default budget gives 65-step blocks, and
+    # a budget of 7 rows gives 7-step blocks; neither divides 1000 or 125
+    @pytest.mark.parametrize("run", (simulate_bitflip, simulate_erasure))
+    @pytest.mark.parametrize("trials, block_steps", ((1000, None), (50, 7)))
+    @pytest.mark.parametrize("burn_in", (2.0, 0.0))
+    def test_runs_equal_one_shot_draws(self, monkeypatch, run, trials, block_steps, burn_in):
+        if block_steps is not None:
+            monkeypatch.setattr(cce, "BLOCK_ELEMENTS", block_steps * trials)
+        params = DoubleWellParams(burn_in=burn_in, snapshots=4)
+        blocked = run(params, 1.0, trials, SeededRng(12))
+        with monkeypatch.context() as m:
+            m.setattr(cce, "_advance", _advance_one_shot)
+            ref = run(params, 1.0, trials, SeededRng(12))
+        assert blocked.per_trial.keys() == ref.per_trial.keys()
+        for key in ref.per_trial:
+            assert np.array_equal(blocked.per_trial[key], ref.per_trial[key]), key
+        assert blocked.series.keys() == ref.series.keys()
+        for key in ref.series:
+            assert np.array_equal(blocked.series[key], ref.series[key]), key
+
+    def test_burn_in_divergence_reports_its_last_step(self, monkeypatch):
+        # dt = 0.3 is past the explicit step's stability limit; the state
+        # overflows in an early 2-step block, but the one check at the end of
+        # the burn-in names its last step, as the one-shot draw did
+        monkeypatch.setattr(cce, "BLOCK_ELEMENTS", 2 * 20)
+        params = DoubleWellParams(dt=0.3, burn_in=30.0)
+        errors = []
+        for advance in (cce._advance, _advance_one_shot):
+            with monkeypatch.context() as m:
+                m.setattr(cce, "_advance", advance)
+                with pytest.raises(IntegrationDivergedError) as err:
+                    simulate_bitflip(params, 1.0, 20, SeededRng(0))
+            errors.append((err.value.step, str(err.value)))
+        assert errors[0] == errors[1] == (100, "non-finite double-well state by burn-in step 100")

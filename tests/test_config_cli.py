@@ -268,6 +268,8 @@ class TestCLI:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "numerical-failure"
         assert err["kind"] == "IntegrationDivergedError"
+        # the burn-in's seven steps stay finite; the first protocol step overflows
+        assert err["detail"] == "non-finite double-well state by protocol step 1"
 
     @pytest.mark.parametrize("subcommand,config,out_is_file,code,error", [
         _config_error("checks", "[checks]\ntur_walkers = 1\n", "tur_walkers"),

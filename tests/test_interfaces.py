@@ -69,6 +69,7 @@ class TestCircuitText:
     @pytest.mark.parametrize("line", [
         "node a", "edge a b", "input in1 a", "encoding out", "circuit",
         "node a activation gain", "node a activation gain=high", "node a bogus", "edge a b heavy",
+        "edge b b 1.0 junk", "input in1 b 1.0 junk", "encoding out b extra", "circuit and extra",
     ])
     def test_malformed_circuit_line_named(self, line):
         with pytest.raises(ValueError, match="^line 3: "):
@@ -80,6 +81,8 @@ class TestCircuitText:
         ("in1,out:out\n\n0,1\n0\n", "^line 4: "),
         ("in1,out:out\n0,high\n", "^line 2: "),
         ("in1,out:out\nlow,1\n", "^line 2: "),
+        ("in1,out:out\n0,2\n", "^line 2: expected labels must be 0 or 1"),
+        ("in1,out:out\n0,0\n1,-1\n", "^line 3: expected labels must be 0 or 1"),
     ])
     def test_malformed_truth_table_named(self, text, match):
         with pytest.raises(ValueError, match=match):

@@ -144,6 +144,78 @@ class TestTURBootstrapCache:
         assert sum(not row[3] for row in got) == 1
 
 
+def _bootstrap_ratios_whole(j):
+    # tur_check's resample ratios as they were before the blocks: one
+    # (TUR_BOOTSTRAP, size) gather
+    boots = j[metrics._bootstrap_index(j.size)]
+    return boots.var(axis=1, ddof=1) / boots.mean(axis=1) ** 2
+
+
+class TestBlockedBootstrap:
+    # At the default budget 100 walkers fit one block, 1600 split the 200
+    # resamples into 5 blocks of 40, and 2000 (32-row blocks) and 10 000
+    # (6-row blocks) leave a short last block.
+    @pytest.mark.parametrize("walkers", (100, 1600, 2000, 10000))
+    def test_blocks_equal_one_gather(self, walkers):
+        j, sigma = biased_walk_currents(0.06, 0.04, 300, walkers, SeededRng(31).derive(walkers))
+        assert np.array_equal(metrics._bootstrap_ratios(j), _bootstrap_ratios_whole(j))
+        assert tur_check(j, sigma) == _tur_check_fresh(j, sigma)
+
+    @pytest.mark.parametrize("rows", (1, 3, 7, 199))
+    def test_any_block_height_equals_one_gather(self, monkeypatch, rows):
+        j, _ = biased_walk_currents(0.06, 0.04, 300, 500, SeededRng(32))
+        monkeypatch.setattr(metrics, "BLOCK_ELEMENTS", rows * j.size)
+        assert np.array_equal(metrics._bootstrap_ratios(j), _bootstrap_ratios_whole(j))
+
+
+def _mi_whole(channel, z_atoms, weights):
+    # mutual_information_quadrature as it was before the blocks: every
+    # (atoms, y) array whole
+    z = np.asarray(z_atoms, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    m = channel.mean_fn(z)
+    y = np.linspace(float(m.min() - metrics.MI_PAD * channel.sigma),
+                    float(m.max() + metrics.MI_PAD * channel.sigma), metrics.MI_Y_POINTS)
+    ll = channel.log_likelihood(y[None, :], z[:, None])
+    p = np.exp(ll)
+    pmix = w @ p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        integrand = np.where(p > 0, p * (ll - np.log(np.maximum(pmix, 1e-300))[None, :]), 0.0)
+    kl = np.trapezoid(integrand, y, axis=1)
+    return float(w @ kl), kl
+
+
+class TestBlockedQuadrature:
+    CHANNELS = {
+        "linear": linear_gaussian_channel(0.8),
+        "logistic": logistic_mean_channel(2.0, 1.5, 0.2, 0.6),
+        "corrupted": dataclasses.replace(logistic_mean_channel(2.0, 1.5, 0.2, 0.6), score_scale=0.3),
+    }
+
+    # 16 atoms per block at the default budget: 200 atoms leave a short last block
+    @pytest.mark.parametrize("atoms", (2, 17, 200))
+    @pytest.mark.parametrize("channel", sorted(CHANNELS))
+    def test_blocks_equal_whole_arrays(self, channel, atoms):
+        chan = self.CHANNELS[channel]
+        gen = SeededRng(33).derive(atoms).generator()
+        z = gen.standard_normal(atoms)
+        w = gen.dirichlet(np.ones(atoms))
+        mi, kl = metrics.mutual_information_quadrature(chan, z, w)
+        mi_ref, kl_ref = _mi_whole(chan, z, w)
+        assert mi == mi_ref
+        assert np.array_equal(kl, kl_ref)
+
+    @pytest.mark.parametrize("rows", (1, 7))
+    def test_any_block_height_equals_whole_arrays(self, monkeypatch, rows):
+        monkeypatch.setattr(metrics, "BLOCK_ELEMENTS", rows * metrics.MI_Y_POINTS)
+        chan = self.CHANNELS["logistic"]
+        z = SeededRng(34).generator().standard_normal(17)
+        w = np.full(17, 1.0 / 17)
+        mi, kl = metrics.mutual_information_quadrature(chan, z, w)
+        mi_ref, kl_ref = _mi_whole(chan, z, w)
+        assert mi == mi_ref and np.array_equal(kl, kl_ref)
+
+
 class TestTraceBound:
     def test_linear_gaussian_against_closed_form(self):
         tau, sig = 1.0, 1.0
