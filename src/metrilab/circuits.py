@@ -45,8 +45,10 @@ PULSE_AMPLITUDE = 2.0  # set/reset drive of run_flipflop's pulses
 NODE_KINDS = ("integrator", "activation", "oscillator")
 
 
-def logistic(z):
-    return 1.0 / (1.0 + np.exp(-z))
+def _logistic(neg_gain, v, bias):
+    """The activation law logistic(gain * (v + bias)), with the sign folded
+    into the gain: -(g * y) and (-g) * y are the same float."""
+    return 1.0 / (1.0 + np.exp(neg_gain * (v + bias)))
 
 
 @dataclass
@@ -76,12 +78,11 @@ class LogicalReadout:
         if not self.low_max < self.high_min:
             raise ValueError("forbidden band must be nonempty (low_max < high_min)")
 
-    def label(self, value):
-        if value <= self.low_max:
-            return 0
-        if value >= self.high_min:
-            return 1
-        return None
+    def labels(self, values):
+        """The logical label of each value: 0 at or below low_max, 1 at or
+        above high_min, -1 in the forbidden band between them (and for NaN)."""
+        values = np.asarray(values)
+        return np.where(values <= self.low_max, 0, np.where(values >= self.high_min, 1, -1))
 
 
 class CircuitGraph:
@@ -108,8 +109,7 @@ class CircuitGraph:
             W[self._index[dst], self._index[src]] += w
         self._WT = W.T.copy()
         self._bias = np.array([self.nodes[m].params.get("bias", 0.0) for m in self.node_names])
-        self._gain = np.array([self.nodes[m].params.get("gain", GateParams.gain) for m in self.node_names])
-        self._neg_gain = -self._gain
+        self._neg_gain = -np.array([self.nodes[m].params.get("gain", GateParams.gain) for m in self.node_names])
         self._leak = np.array([self.nodes[m].params.get("leak", 1.0) for m in self.node_names])
         self._omega = np.array([self.nodes[m].params.get("omega", 0.0) for m in self.node_names])
         kinds = np.array([self.nodes[m].kind for m in self.node_names])
@@ -153,11 +153,10 @@ class CircuitGraph:
         injection u from `injection` (broadcast against x)."""
         v = self.drive(x, u)
         if self._all_act:
-            # logistic(gain * (v + bias)) - x, with the sign folded into the gain
-            return 1.0 / (1.0 + np.exp(self._neg_gain * (v + self._bias))) - x
+            return _logistic(self._neg_gain, v, self._bias) - x
         dx = np.empty_like(v)
         a, i, o = self._act, self._intg, self._osc
-        dx[..., a] = logistic(self._gain[a] * (v[..., a] + self._bias[a])) - x[..., a]
+        dx[..., a] = _logistic(self._neg_gain[a], v[..., a], self._bias[a]) - x[..., a]
         dx[..., i] = v[..., i] - self._leak[i] * x[..., i]
         dx[..., o] = self._omega[o] + v[..., o]
         return dx
@@ -209,16 +208,15 @@ class CircuitStack:
         """CircuitGraph.field of every row's circuit, for states (rows, n);
         x + 0.0 is x, so a circuit's own columns are unchanged by the padding."""
         v = np.matmul(x[:, None, :], self._WT)[:, 0] + u
-        return 1.0 / (1.0 + np.exp(self._neg_gain * (v + self._bias))) - (x + self._pad)
+        return _logistic(self._neg_gain, v, self._bias) - (x + self._pad)
 
 
 def integrate_circuit(circuit: CircuitGraph, inputs, x0, T, dt=0.02, noise=0.0, gen=None):
     """Clamped-input RK4 integration (plus optional additive state noise) of
-    one state (n,) or a batch (rows, n); returns the time series including
-    the initial state, shape (steps + 1,) + x0.shape.
+    a batch (rows, n), or of one state (n,) without noise; returns the time
+    series including the initial state, shape (steps + 1,) + x0.shape.
 
-    `gen` is one Generator, drawing every row's noise at the one level
-    `noise`, or for a batch a list with one per row: row i draws from gen[i]
+    `gen` is a list with one generator per row: row i draws from gen[i]
     alone at level noise[i] (or at `noise` when it is one level), and a
     noiseless row may hold None. Noise > 0 without a generator raises
     ValueError. `circuit` may also be a CircuitStack, whose row i draws noise
@@ -246,12 +244,6 @@ def _state_kicks(circuit, noise, gen, steps, shape, dt):
         return None
     if gen is None:
         raise ValueError("state noise > 0 needs a generator")
-    if isinstance(gen, np.random.Generator):
-        if levels.ndim:
-            raise ValueError("one generator draws at one noise level: give one generator per row")
-        kicks = gen.standard_normal((steps,) + shape)
-        kicks *= noise * np.sqrt(dt)
-        return kicks
     levels = np.broadcast_to(levels, (len(gen),))
     kicks = np.zeros((steps,) + shape)
     for r in np.flatnonzero(levels > 0.0):
@@ -308,7 +300,7 @@ def settle_and_read(circuit: CircuitGraph, inputs, readout: LogicalReadout,
         m = min(_SETTLE_CHUNK, steps - s)
         buf[window : window + m + 1] = integrate_circuit(circuit, inputs, buf[window], m * dt, dt, levels, gens)
         e = buf[window + 1 : window + 1 + m][:, :, enc]
-        labels = np.where(e <= readout.low_max, 0, np.where(e >= readout.high_min, 1, -1))
+        labels = readout.labels(e)
         prev = np.concatenate([run_labels[None], labels[:-1]])
         at = np.arange(m)[:, None]
         start = np.maximum.accumulate(np.where((labels != prev).any(axis=2), at, -1), axis=0)
@@ -351,7 +343,7 @@ def _feedforward_fixed_points(circuit: CircuitGraph, rows):
     x = np.zeros_like(u)
     # iterate n passes: suffices for any topological depth <= n
     for _ in range(circuit.dim):
-        x = logistic(circuit._gain * (circuit.drive(x, u) + circuit._bias))
+        x = _logistic(circuit._neg_gain, circuit.drive(x, u), circuit._bias)
     return x
 
 
@@ -360,11 +352,11 @@ def _validate_combinational(circuit, truth):
     states = _feedforward_fixed_points(circuit, [row for row, _ in truth])
     for (row_inputs, expected), x in zip(truth, states):
         for port, want in expected.items():
-            got = readout.label(circuit.state_of(x, circuit.encoding_ports[port]))
+            value = circuit.state_of(x, circuit.encoding_ports[port])
+            got = int(readout.labels(value))
             if got != want:
                 raise InvalidGateParamsError(
-                    f"{circuit.name}: corner {row_inputs} settles to "
-                    f"{circuit.state_of(x, circuit.encoding_ports[port]):.3f} "
+                    f"{circuit.name}: corner {row_inputs} settles to {value:.3f} "
                     f"(label {got}), expected {want}")
 
 
@@ -576,9 +568,9 @@ def flipflop_space(alpha=1.0) -> EncodingSpace:
 
 
 def read_stored_bit(circuit, x, readout):
-    la = readout.label(circuit.state_of(x, circuit.encoding_ports["q"]))
-    lb = readout.label(circuit.state_of(x, circuit.encoding_ports["qbar"]))
-    if la is None or lb is None or la == lb:
+    ports = circuit.encoding_ports
+    la, lb = readout.labels([circuit.state_of(x, ports["q"]), circuit.state_of(x, ports["qbar"])]).tolist()
+    if la < 0 or lb < 0 or la == lb:
         raise AmbiguousStateError(f"flip-flop state q={la} qbar={lb} is not a stored bit")
     return la
 
@@ -594,9 +586,9 @@ def run_flipflop(circuit: CircuitGraph, pulse_schedule, readout: LogicalReadout,
     final hold, ledger of bit transitions).
     """
     x = np.zeros(circuit.dim) if x0 is None else np.asarray(x0, dtype=float)
-    holds = latch_holds(circuit, pulse_schedule, readout, x, hold_after=hold_after, noise=noise,
-                        gen=None if rng is None else rng.generator())
-    return read_latch(circuit, holds, readout, pulsed=bool(pulse_schedule))
+    holds = latch_holds(circuit, pulse_schedule, readout, x[None], hold_after=hold_after, noise=noise,
+                        gen=[None if rng is None else rng.generator()])
+    return read_latch(circuit, [(t, s[0]) for t, s in holds], readout, pulsed=bool(pulse_schedule))
 
 
 def latch_holds(circuit: CircuitGraph, pulse_schedule, readout: LogicalReadout, x0,

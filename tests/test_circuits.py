@@ -15,7 +15,6 @@ from metrilab.circuits import (
     integrate_circuit,
     latch_holds,
     logical_table,
-    logistic,
     read_latch,
     run_flipflop,
     settle_and_read,
@@ -27,6 +26,11 @@ from metrilab.numerics import SeededRng
 
 READOUT = LogicalReadout()
 ALL_GATES = ("NOT", "AND", "OR", "NAND", "NOR", "XOR")
+
+
+def logistic(z):
+    """The activation law, written out apart from the library's."""
+    return 1.0 / (1.0 + np.exp(-z))
 
 
 def bisect_fixed_point(drive, gain, lo=0.0, hi=1.0, iters=80):
@@ -102,6 +106,32 @@ class TestBuildAndTables:
     def test_flipflop_low_gain_rejected(self):
         with pytest.raises(InvalidGateParamsError):
             build_gate("FLIPFLOP", GateParams(g_ff=0.5))
+
+
+def interval_edges(readout):
+    """(value, label) at and just beside each interval edge, plus NaN."""
+    lo, hi = readout.low_max, readout.high_min
+    return [(0.0, 0), (lo, 0), (np.nextafter(lo, 1.0), -1), (0.5 * (lo + hi), -1),
+            (np.nextafter(hi, 0.0), -1), (hi, 1), (1.0, 1), (np.nan, -1)]
+
+
+class TestLabels:
+    READOUTS = (READOUT, LogicalReadout(low_max=0.3, high_min=0.6))
+
+    @pytest.mark.parametrize("readout", READOUTS, ids=("default", "narrow"))
+    def test_scalar_at_the_edges(self, readout):
+        for value, label in interval_edges(readout):
+            got = readout.labels(value)
+            assert got.shape == () and got == label, value
+            assert reference_label(readout, value) == (None if label < 0 else label)
+
+    @pytest.mark.parametrize("readout", READOUTS, ids=("default", "narrow"))
+    def test_steps_rows_ports_array_is_elementwise(self, readout):
+        values, labels = map(np.array, zip(*interval_edges(readout)))
+        order = np.random.default_rng(1).permutation(np.tile(np.arange(8), 3))
+        got = readout.labels(values[order].reshape(4, 3, 2))  # (steps, rows, ports)
+        assert got.shape == (4, 3, 2)
+        assert np.array_equal(got, labels[order].reshape(4, 3, 2))
 
 
 class TestSettle:
@@ -232,6 +262,15 @@ def reference_integrate(circuit, inputs, x0, T, dt, noise=0.0, gen=None):
     return np.array(out)
 
 
+def reference_label(readout, value):
+    """The interval rule for one value, None in the forbidden band."""
+    if value <= readout.low_max:
+        return 0
+    if value >= readout.high_min:
+        return 1
+    return None
+
+
 def reference_settle(circuit, inputs, readout, x0=None, noise=0.0, rng=None):
     """-> (labels, state, step) of one row, settled alone."""
     dt = readout.dt
@@ -247,7 +286,7 @@ def reference_settle(circuit, inputs, readout, x0=None, noise=0.0, rng=None):
         if gen is not None:
             x = x + noise * np.sqrt(dt) * gen.standard_normal(circuit.dim)
         history = (history + [x.copy()])[-(window_steps + 1):]
-        labels = {port: readout.label(circuit.state_of(x, node))
+        labels = {port: reference_label(readout, circuit.state_of(x, node))
                   for port, node in circuit.encoding_ports.items()}
         if None in labels.values():
             run_labels, run_len = None, 0
@@ -323,11 +362,11 @@ class TestBatchedAgainstPerRowOracle:
     def test_integrate_with_noise_matches_per_step_draws(self):
         ff = build_gate("FLIPFLOP")
         x0 = np.array([0.2, 0.6])
-        got = integrate_circuit(ff, {"set": 2.0, "reset": 0.0}, x0, 10.0, dt=0.02,
-                                noise=1e-2, gen=SeededRng(8).generator())
+        got = integrate_circuit(ff, {"set": 2.0, "reset": 0.0}, x0[None], 10.0, dt=0.02,
+                                noise=1e-2, gen=[SeededRng(8).generator()])
         ref = reference_integrate(ff, {"set": 2.0, "reset": 0.0}, x0, 10.0, 0.02,
                                   noise=1e-2, gen=SeededRng(8).generator())
-        assert np.array_equal(got, ref)
+        assert np.array_equal(got[:, 0], ref)
 
     def test_gates_csv_matches_golden(self, tmp_path):
         assert cli_main(["gates", "--seed", "0", "--out", str(tmp_path), "--quiet"]) == 0
@@ -420,13 +459,13 @@ class TestMixedNoiseBatches:
                             noise=(0.0, 1e-3), gen=[None, SeededRng(7).generator()])
         for h, (noise, rng) in enumerate(((0.0, None), (1e-3, SeededRng(7)))):
             row = [(t, x[h]) for t, x in holds]
-            # the row integrated alone as one state, and the per-step reference
-            alone = latch_holds(ff, LATCH_SCHEDULE, READOUT, np.zeros(2), hold_after=30.0,
-                                noise=noise, gen=None if rng is None else rng.generator())
+            # the row integrated alone as a 1-row batch, and the per-step reference
+            alone = latch_holds(ff, LATCH_SCHEDULE, READOUT, np.zeros((1, 2)), hold_after=30.0,
+                                noise=noise, gen=[None if rng is None else rng.generator()])
             ref = reference_latch_holds(ff, LATCH_SCHEDULE, READOUT, 30.0, noise=noise,
                                         gen=None if rng is None else rng.generator())
             assert [t for t, _ in row] == [t for t, _ in alone] == [t for t, _ in ref] == [40.0, 75.0]
-            assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(row, alone))
+            assert all(np.array_equal(x, y[0]) for (_, x), (_, y) in zip(row, alone))
             assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(row, ref))
             readings, ledger = read_latch(ff, row, READOUT, pulsed=True)
             alone, alone_ledger = run_flipflop(ff, LATCH_SCHEDULE, READOUT, hold_after=30.0,
@@ -521,14 +560,9 @@ class TestNoiseNeedsAGenerator:
         got = integrate_circuit(ff, {"set": 2.0, "reset": 0.0}, x0, 1.0, noise=[1e-3, 0.0, 2e-3],
                                 gen=[SeededRng(1).generator(), None, SeededRng(2).generator()])
         for r, (level, rng) in enumerate(((1e-3, SeededRng(1)), (0.0, None), (2e-3, SeededRng(2)))):
-            alone = integrate_circuit(ff, {"set": 2.0, "reset": 0.0}, x0[r], 1.0, noise=level,
-                                      gen=None if rng is None else rng.generator())
-            assert np.array_equal(got[:, r], alone)
-
-    def test_one_generator_with_row_levels_raises(self):
-        with pytest.raises(ValueError, match="one generator per row"):
-            integrate_circuit(build_gate("FLIPFLOP"), {"set": 0.0, "reset": 0.0}, np.eye(2), 1.0,
-                              noise=np.array([0.0, 1e-3]), gen=SeededRng(1).generator())
+            alone = integrate_circuit(ff, {"set": 2.0, "reset": 0.0}, x0[r : r + 1], 1.0, noise=level,
+                                      gen=[None if rng is None else rng.generator()])
+            assert np.array_equal(got[:, r], alone[:, 0])
 
     def test_run_flipflop_without_rng_raises(self):
         with pytest.raises(ValueError):
