@@ -165,7 +165,7 @@ def _handle_bitflip(cfg: RunConfig, seed, out, threads):
                  "dU_sys", "dS_sys", "dissipated_work", "work_std"],
         metadata={"seed": seed, "config": pc.__dict__.copy()},
     )
-    for i, T in enumerate(pc.duration_sweep()):
+    for i, T in enumerate(pc.durations):
         rep = simulate_bitflip(pc, T, pc.trials, SeededRng(seed).derive(i))
         result.add_row(T_protocol=T, success_prob=rep.success_prob, work_total=rep.work_total,
                        heat_env=rep.heat_env, dU_sys=rep.dU_sys, dS_sys=rep.dS_sys,

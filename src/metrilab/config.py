@@ -98,9 +98,6 @@ class ProtocolRunConfig(DoubleWellParams):
         if self.trials < 2:
             raise InvalidConfigError(f"trials must be >= 2 for a spread, got {self.trials}")
 
-    def duration_sweep(self):
-        return tuple(self.durations) if self.durations else (self.T_protocol,)
-
 
 @dataclass(frozen=True)
 class GatesConfig(GateParams):
@@ -189,6 +186,8 @@ class RunConfig:
 
     def __post_init__(self):
         check_fields(self)
+        if not self.bitflip.durations:
+            raise InvalidConfigError("bitflip.durations must list at least one protocol duration")
 
     def resolved(self):
         """Every parameter in force, defaults included."""
@@ -196,6 +195,11 @@ class RunConfig:
 
 
 _SECTIONS = {f.name: f.type for f in fields(RunConfig) if f.name != "seed"}
+
+# The protocol key each subcommand never reads: bitflip sweeps its
+# durations, erasure runs once at its T_protocol. Both stay fields, so both
+# sections' metadata list the same keys.
+_UNREAD = {"bitflip": "T_protocol", "erasure": "durations"}
 
 
 def _coerce(section, key, value, ftype):
@@ -248,6 +252,9 @@ def build_run_config(sections) -> RunConfig:
         except (InvalidConfigError, TypeError, ValueError) as exc:
             where = f"{sec}." if getattr(exc, "key", None) else ""
             raise InvalidConfigError(f"bad [{sec}] configuration: {where}{exc}") from exc
+        if _UNREAD.get(sec) in kwargs:
+            raise InvalidConfigError(f"{sec}.{_UNREAD[sec]} is never read: bitflip sweeps "
+                                     "bitflip.durations and erasure runs erasure.T_protocol")
     return dataclasses.replace(defaults, seed=seed, **built)
 
 

@@ -365,6 +365,22 @@ class TestCLI:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == error
 
+    @pytest.mark.parametrize("config,key", [
+        ("[bitflip]\ndurations = []\n", "bitflip.durations"),
+        ("[bitflip]\nT_protocol = 5\n", "bitflip.T_protocol"),
+        ("[erasure]\ndurations = [5.0]\n", "erasure.durations"),
+    ], ids=("bitflip_durations_empty", "bitflip_T_protocol_unread", "erasure_durations_unread"))
+    def test_protocol_key_error_names_the_key(self, tmp_path, capsys, config, key):
+        # bitflip sweeps its durations and erasure runs its T_protocol; the
+        # other key of each, or no duration at all, is a config error
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(config)
+        argv = [key.split(".")[0], "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]
+        assert run_cli(*argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config-error"
+        assert err["detail"].startswith(key)
+
     def test_erasure_subcommand(self, tmp_path):
         out = tmp_path / "e"
         cfg = tmp_path / "c.cfg"
