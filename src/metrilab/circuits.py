@@ -593,9 +593,9 @@ def run_flipflop(circuit: CircuitGraph, pulse_schedule, readout: LogicalReadout,
 
 def latch_holds(circuit: CircuitGraph, pulse_schedule, readout: LogicalReadout, x0,
                 hold_after=None, noise=0.0, gen=None):
-    """Integrate one latch state (n,) or a batch (rows, n) through the pulse
-    schedule of run_flipflop, all rows in one integration, with `noise` and
-    `gen` as integrate_circuit takes them. Returns (t, states) at the end of
+    """Integrate a batch of latch states (rows, n), or one state (n,) without
+    noise, through the pulse schedule of run_flipflop, all rows in one
+    integration, with `noise` and `gen` as integrate_circuit takes them. Returns (t, states) at the end of
     every hold that reads a bit: each hold after the first pulse, or the one
     hold of a schedule without pulses."""
     pulses = sorted(pulse_schedule, key=lambda q: q[1])
