@@ -244,6 +244,8 @@ def _state_kicks(circuit, noise, gen, steps, shape, dt):
         return None
     if gen is None:
         raise ValueError("state noise > 0 needs a generator")
+    if len(shape) != 2:
+        raise ValueError("state noise needs a batch of states (rows, n) and one generator per row")
     levels = np.broadcast_to(levels, (len(gen),))
     kicks = np.zeros((steps,) + shape)
     for r in np.flatnonzero(levels > 0.0):

@@ -564,6 +564,12 @@ class TestNoiseNeedsAGenerator:
                                       gen=[None if rng is None else rng.generator()])
             assert np.array_equal(got[:, r], alone[:, 0])
 
+    def test_noisy_single_state_raises(self):
+        # noise is drawn per row: one state integrates as a 1-row batch
+        with pytest.raises(ValueError, match="batch"):
+            integrate_circuit(build_gate("FLIPFLOP"), {"set": 2.0, "reset": 0.0}, [0.2, 0.6], 1.0,
+                              noise=1e-2, gen=[SeededRng(1).generator()])
+
     def test_run_flipflop_without_rng_raises(self):
         with pytest.raises(ValueError):
             run_flipflop(build_gate("FLIPFLOP"), [("set", 5.0, 10.0)], READOUT, hold_after=30.0, noise=3.0)
