@@ -193,15 +193,25 @@ def _handle_erasure(cfg: RunConfig, seed, out, threads):
 
 
 def _checks_rows(cfg: RunConfig, seed, threads=1):
-    cc = cfg.checks
+    cc, pc = cfg.checks, cfg.bitflip
+    # report_fluxes needs 3 snapshot times: 2 protocol steps and snapshots >= 2
+    if round(cc.classical_T / pc.dt) < 2:
+        raise InvalidConfigError(f"checks.classical_T = {cc.classical_T:g} is under 2 steps of "
+                                 f"bitflip.dt = {pc.dt:g}; the power-bound rows need 2")
+    if pc.snapshots < 2:
+        raise InvalidConfigError(f"bitflip.snapshots = {pc.snapshots} is under the 2 that "
+                                 "the power-bound rows of checks need")
+
+    def row(name, result, satisfied=None):
+        """One checks row from a check's result; `satisfied` overrides its verdict."""
+        return {"name": name, "lhs": result["lhs"], "rhs": result["rhs"],
+                "satisfied": bool(result["satisfied"] if satisfied is None else satisfied),
+                "slack": result["slack"], "seed": seed}
 
     def walk_check(i):
-        rng = SeededRng(seed).derive(i)
         j, sigma = biased_walk_currents(cc.tur_forward, cc.tur_backward,
-                                        cc.tur_steps, cc.tur_walkers, rng)
-        r = tur_check(j, sigma)
-        return {"name": f"tur_walk_{i:03d}", "lhs": r["lhs"], "rhs": r["rhs"],
-                "satisfied": r["satisfied"], "slack": r["slack"], "seed": seed}
+                                        cc.tur_steps, cc.tur_walkers, SeededRng(seed).derive(i))
+        return row(f"tur_walk_{i:03d}", tur_check(j, sigma))
 
     # The near-equilibrium row runs before the walk sweep, though it is listed
     # after it: the sweep's ensembles then evict its 5x larger bootstrap index
@@ -213,9 +223,7 @@ def _checks_rows(cfg: RunConfig, seed, threads=1):
                                     SeededRng(seed).derive(9000))
     r = tur_check(j, sigma)
     saturation = r["lhs"] / r["rhs"] if np.isfinite(r["lhs"]) else np.inf
-    near_eq = {"name": "tur_near_equilibrium", "lhs": r["lhs"], "rhs": r["rhs"],
-               "satisfied": bool(r["satisfied"] and 0.5 <= saturation <= 2.0),
-               "slack": r["slack"], "seed": seed}
+    near_eq = row("tur_near_equilibrium", r, r["satisfied"] and 0.5 <= saturation <= 2.0)
 
     rows = sweep(walk_check, range(cc.tur_ensembles), threads)
     rows.append(near_eq)
@@ -224,9 +232,7 @@ def _checks_rows(cfg: RunConfig, seed, threads=1):
     chan = linear_gaussian_channel(cc.gauss_sigma)
     chan.score_scale = score_scale
     z = cc.gauss_tau * SeededRng(seed).derive(9100).generator().standard_normal(cc.trace_prior_samples)
-    r = trace_bound_check(chan, z)
-    rows.append({"name": "trace_bound_gaussian", "lhs": r["c_t"], "rhs": r["half_trace_G"],
-                 "satisfied": r["satisfied"], "slack": r["half_trace_G"] - r["c_t"], "seed": seed})
+    rows.append(row("trace_bound_gaussian", trace_bound_check(chan, z)))
 
     prev_gap = None
     for k, snr in enumerate(sorted(cc.tight_snrs, reverse=True)):
@@ -236,8 +242,8 @@ def _checks_rows(cfg: RunConfig, seed, threads=1):
         gap = abs(rr["tightness"] - 1.0)
         ok = rr["satisfied"] and (prev_gap is None or gap <= prev_gap + 1e-9)
         prev_gap = gap
-        rows.append({"name": f"trace_tightness_snr_{snr:g}", "lhs": rr["tightness"], "rhs": 1.0,
-                     "satisfied": bool(ok), "slack": -gap, "seed": seed})
+        rows.append(row(f"trace_tightness_snr_{snr:g}",
+                        {"lhs": rr["tightness"], "rhs": 1.0, "slack": -gap}, ok))
 
     gen = SeededRng(seed).derive(9300).generator()
     for k in range(cc.trace_random_channels):
@@ -246,25 +252,20 @@ def _checks_rows(cfg: RunConfig, seed, threads=1):
                                      name=f"logistic_{k:02d}")
         chan.score_scale = score_scale
         atoms = np.array([gen.uniform(-2.0, 0.0), gen.uniform(0.0, 2.0)])
-        r = trace_bound_check(chan, atoms)
-        rows.append({"name": f"trace_bound_{chan.name}", "lhs": r["c_t"], "rhs": r["half_trace_G"],
-                     "satisfied": r["satisfied"], "slack": r["half_trace_G"] - r["c_t"], "seed": seed})
+        rows.append(row(f"trace_bound_{chan.name}", trace_bound_check(chan, atoms)))
 
     # isothermal power bound on a quick protocol pair plus synthetic saturation
     for name, sim in (("classical_bitflip", simulate_bitflip), ("classical_erasure", simulate_erasure)):
-        rep = sim(cfg.bitflip, cc.classical_T, cc.classical_trials,
+        rep = sim(pc, cc.classical_T, cc.classical_trials,
                   SeededRng(seed).derive(9400 + (name == "classical_erasure")))
         fluxes, T_env = report_fluxes(rep)
         r = classical_bound_check(fluxes, T_env, stat_tol=3.0 * rep.work_std / cc.classical_T)
-        rows.append({"name": name, "lhs": r["lhs_power"], "rhs": r["rhs_power"],
-                     "satisfied": r["satisfied"], "slack": r["slack"], "seed": seed})
+        rows.append(row(name, r))
     t = np.linspace(0.0, 1.0, 11)
     w = np.ones_like(t)
     synth = {"times": t, "w_dot": w, "i_irr_dot": w, "f_sys_dot": 0.0 * t, "s_prod_dot": 0.0 * t}
     r = classical_bound_check(synth, T_env=1.0)
-    rows.append({"name": "classical_synthetic_saturation", "lhs": r["lhs_power"],
-                 "rhs": r["rhs_power"], "satisfied": bool(r["satisfied"] and abs(r["slack"]) < 1e-12),
-                 "slack": r["slack"], "seed": seed})
+    rows.append(row("classical_synthetic_saturation", r, r["satisfied"] and abs(r["slack"]) < 1e-12))
     return rows
 
 

@@ -142,6 +142,9 @@ class ChecksConfig:
             raise InvalidConfigError(f"tur_walkers must be >= {TUR_MIN_SAMPLES}, got {self.tur_walkers}")
         if self.classical_trials < 2:
             raise InvalidConfigError(f"classical_trials must be >= 2, got {self.classical_trials}")
+        if len(set(self.tight_snrs)) < len(self.tight_snrs):
+            raise InvalidConfigError(f"tight_snrs must be distinct, got {self.tight_snrs}",
+                                     key="tight_snrs")
 
 
 @dataclass(frozen=True)

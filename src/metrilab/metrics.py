@@ -3,9 +3,10 @@
 Two work-per-nat ratios (work per irreversible nat and work per preserved
 nat) plus three checks: the current-fluctuation bound, the
 mutual-information trace bound, and the isothermal power bound. Each check
-returns lhs/rhs values with a `satisfied` flag that allows for estimator
-noise. The safety monitor flags every sample of a flux series that breaks a
-limit.
+returns one dict form: the bound's two sides `lhs` and `rhs`, a `satisfied`
+flag that allows for estimator noise, and `slack`, the margin by which the
+bound holds (negative when it fails), plus extras of its own. The safety
+monitor flags every sample of a flux series that breaks a limit.
 """
 
 import functools
@@ -225,7 +226,7 @@ def trace_bound_check(channel, prior_samples):
     """
     z = np.asarray(prior_samples, dtype=float)
     if np.unique(z).size < 2:
-        return {"c_t": 0.0, "half_trace_G": 0.0, "satisfied": True,
+        return {"lhs": 0.0, "rhs": 0.0, "satisfied": True, "slack": 0.0,
                 "tightness": 1.0, "eps_num": TRACE_EPS}
     n = z.size
     w = np.full(n, 1.0 / n)
@@ -249,13 +250,8 @@ def trace_bound_check(channel, prior_samples):
     var_z = 0.5 * float(np.mean(dz * dz))
     ref = 0.5 * var_z * float(fbar.mean())
     eps = TRACE_EPS + 3.0 * se
-    return {
-        "c_t": mi,
-        "half_trace_G": half_trace,
-        "satisfied": bool(mi <= half_trace + eps),
-        "tightness": mi / ref if ref > 0 else 1.0,
-        "eps_num": eps,
-    }
+    return {"lhs": mi, "rhs": half_trace, "satisfied": bool(mi <= half_trace + eps),
+            "slack": half_trace - mi, "tightness": mi / ref if ref > 0 else 1.0, "eps_num": eps}
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +279,7 @@ def classical_bound_check(fluxes, T_env, stat_tol=0.0):
 
     lhs = avg("w_dot")
     rhs = T_env * avg("i_irr_dot") - avg("f_sys_dot") - T_env * avg("s_prod_dot")
-    return {"lhs_power": lhs, "rhs_power": rhs,
-            "satisfied": bool(lhs <= rhs + stat_tol), "slack": rhs - lhs}
+    return {"lhs": lhs, "rhs": rhs, "satisfied": bool(lhs <= rhs + stat_tol), "slack": rhs - lhs}
 
 
 def report_fluxes(report):
@@ -355,35 +350,29 @@ def safety_monitor(flux_series, limits: SafetyLimits, window=100) -> ViolationRe
 
     `window` counts samples for the trailing work-per-nat ratio; the ratio
     check is skipped while the windowed information flow is zero (undefined
-    efficiency is reported by the throughput limits instead).
+    efficiency is reported by the throughput limits instead). Each limit is
+    one boolean mask over the samples, and every trailing window is a
+    difference of the same two cumulative sums.
     """
     t = np.asarray(flux_series["times"], dtype=float)
     w = np.asarray(flux_series["w_dot"], dtype=float)
     i = np.asarray(flux_series["i_irr_dot"], dtype=float)
     sp = np.asarray(flux_series["s_prod_dot"], dtype=float)
     f = np.asarray(flux_series.get("f_sys_dot", np.zeros_like(t)), dtype=float)
-    counts = {"power": 0, "info_rate": 0, "entropy_rate": 0, "free_energy_rate": 0, "chi": 0}
-    first = None
     cw = np.concatenate([[0.0], np.cumsum(w)])
     ci = np.concatenate([[0.0], np.cumsum(i)])
-    for k in range(len(t)):
-        bad = []
-        if w[k] > limits.P_max:
-            bad.append("power")
-        if i[k] > limits.I_dot_max:
-            bad.append("info_rate")
-        if sp[k] < 0 or sp[k] > limits.s_crit:
-            bad.append("entropy_rate")
-        if abs(f[k]) > limits.f_max:
-            bad.append("free_energy_rate")
-        lo = max(0, k + 1 - window)
-        iw = ci[k + 1] - ci[lo]
-        if iw > 0:
-            chi = (cw[k + 1] - cw[lo]) / iw
-            if not limits.chi_range[0] <= chi <= limits.chi_range[1]:
-                bad.append("chi")
-        for b in bad:
-            counts[b] += 1
-        if bad and first is None:
-            first = float(t[k])
-    return ViolationReport(first_violation_time=first, counts=counts, n_samples=len(t))
+    end = np.arange(1, len(t) + 1)
+    start = np.maximum(0, end - window)
+    iw = ci[end] - ci[start]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        chi = (cw[end] - cw[start]) / iw
+    lo, hi = limits.chi_range
+    masks = {"power": w > limits.P_max,
+             "info_rate": i > limits.I_dot_max,
+             "entropy_rate": (sp < 0) | (sp > limits.s_crit),
+             "free_energy_rate": np.abs(f) > limits.f_max,
+             "chi": (iw > 0) & ~((lo <= chi) & (chi <= hi))}
+    bad = np.logical_or.reduce(list(masks.values()))
+    first = float(t[bad.argmax()]) if bad.any() else None
+    return ViolationReport(first_violation_time=first, n_samples=len(t),
+                           counts={k: int(m.sum()) for k, m in masks.items()})

@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -20,7 +18,6 @@ from metrilab.circuits import (
     settle_and_read,
     verify_truth_table,
 )
-from metrilab.cli import main as cli_main
 from metrilab.errors import AmbiguousStateError, InvalidGateParamsError, NonFixedPointError, NoSettleError
 from metrilab.numerics import SeededRng
 
@@ -311,9 +308,6 @@ def assert_rows_match_reference(circuit, rows, x0=None, noise=0.0, rngs=None):
         assert np.array_equal(batch.states[i], state)
 
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
-
-
 class TestBatchedAgainstPerRowOracle:
     @pytest.mark.parametrize("noise", (0.0, 1e-3))
     @pytest.mark.parametrize("kind", ALL_GATES)
@@ -367,11 +361,6 @@ class TestBatchedAgainstPerRowOracle:
         ref = reference_integrate(ff, {"set": 2.0, "reset": 0.0}, x0, 10.0, 0.02,
                                   noise=1e-2, gen=SeededRng(8).generator())
         assert np.array_equal(got[:, 0], ref)
-
-    def test_gates_csv_matches_golden(self, tmp_path):
-        assert cli_main(["gates", "--seed", "0", "--out", str(tmp_path), "--quiet"]) == 0
-        with open(os.path.join(GOLDEN, "gates.csv"), "rb") as fh:
-            assert (tmp_path / "gates.csv").read_bytes() == fh.read()
 
 
 def reference_latch_holds(circuit, schedule, readout, hold_after, noise=0.0, gen=None):

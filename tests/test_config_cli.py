@@ -381,6 +381,28 @@ class TestCLI:
         assert err["error"] == "config-error"
         assert err["detail"].startswith(key)
 
+    @pytest.mark.parametrize("config,key", [
+        ("[checks]\ntight_snrs = [0.1, 0.01, 0.1]\n", "checks.tight_snrs"),
+        ("[checks]\nclassical_T = 0.002\n", "checks.classical_T"),
+        ("[bitflip]\nsnapshots = 1\n", "bitflip.snapshots"),
+    ], ids=("tight_snrs_repeated", "classical_T_one_step", "snapshots_one"))
+    def test_checks_config_error_names_the_key(self, tmp_path, capsys, config, key):
+        # a repeated SNR would write two rows of one name; a power-bound
+        # protocol needs 3 snapshot times, so 2 steps and 2 snapshots
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(config)
+        assert run_cli("checks", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet") == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config-error"
+        assert key in err["detail"]
+        assert not (tmp_path / "out" / "checks.csv").exists()
+
+    def test_bitflip_runs_with_one_snapshot(self, tmp_path):
+        # only the power-bound rows of checks need the flux series
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("[bitflip]\nsnapshots = 1\ntrials = 50\ndurations = [1.0]\n")
+        assert run_cli("bitflip", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet") == 0
+
     def test_erasure_subcommand(self, tmp_path):
         out = tmp_path / "e"
         cfg = tmp_path / "c.cfg"

@@ -223,8 +223,8 @@ class TestTraceBound:
         z = tau * SeededRng(2).generator().standard_normal(400)
         r = trace_bound_check(chan, z)
         snr_hat = z.var()
-        assert r["c_t"] == pytest.approx(0.5 * np.log(1 + snr_hat / sig**2), abs=2e-3)
-        assert r["half_trace_G"] == pytest.approx(np.mean((z[:, None] - z[None, :]) ** 2) / 2 / sig**2, rel=1e-9)
+        assert r["lhs"] == pytest.approx(0.5 * np.log(1 + snr_hat / sig**2), abs=2e-3)
+        assert r["rhs"] == pytest.approx(np.mean((z[:, None] - z[None, :]) ** 2) / 2 / sig**2, rel=1e-9)
         assert r["satisfied"]
 
     def test_tightness_approaches_one_at_low_snr(self):
@@ -240,7 +240,7 @@ class TestTraceBound:
 
     def test_zero_spread_prior(self):
         r = trace_bound_check(linear_gaussian_channel(1.0), np.zeros(10))
-        assert r["c_t"] == 0.0 and r["half_trace_G"] == 0.0 and r["satisfied"]
+        assert r["lhs"] == 0.0 and r["rhs"] == 0.0 and r["satisfied"]
 
     def test_hundred_randomized_instances_all_satisfied(self):
         gen = SeededRng(40).generator()
@@ -267,7 +267,7 @@ class TestTraceBound:
                 mix = 0.5 * np.exp(chan.log_likelihood(y, atoms[0])) + \
                       0.5 * np.exp(chan.log_likelihood(y, atoms[1]))
                 mi += 0.5 * np.sum(wts / np.sqrt(2 * np.pi) * (ll_i - np.log(mix)))
-            assert r["c_t"] == pytest.approx(mi, abs=1e-4)
+            assert r["lhs"] == pytest.approx(mi, abs=1e-4)
 
     def test_irregular_channel_raises(self):
         chan = logistic_mean_channel(1.0, 1.0, 0.0, 1.0)
@@ -291,7 +291,7 @@ class TestClassicalBound:
         fluxes, T_env = report_fluxes(rep)
         r = classical_bound_check(fluxes, T_env, stat_tol=3 * rep.work_std / 40.0)
         assert r["satisfied"]
-        assert abs(r["lhs_power"]) < 0.1 and abs(r["rhs_power"]) < 0.1
+        assert abs(r["lhs"]) < 0.1 and abs(r["rhs"]) < 0.1
 
     def test_erasure_slack_nonnegative(self):
         from metrilab.cce import DoubleWellParams, simulate_erasure
@@ -305,6 +305,113 @@ class TestClassicalBound:
     def test_missing_channel_raises(self):
         with pytest.raises(InsufficientDataError):
             classical_bound_check({"times": [0, 1], "w_dot": [0, 0]}, T_env=1.0)
+
+
+class TestOneResultForm:
+    """Every bound check returns lhs, rhs, satisfied and slack, the slack being
+    the margin by which its bound holds: lhs - rhs for the fluctuation bound
+    (lhs >= rhs), rhs - lhs for the trace and power bounds (lhs <= rhs)."""
+
+    @pytest.mark.parametrize("case", ["tur_holds", "tur_fails", "trace_holds", "trace_fails",
+                                      "power_holds", "power_fails"])
+    def test_keys_and_slack_sign(self, case):
+        kind, verdict = case.split("_")
+        holds = verdict == "holds"
+        if kind == "tur":
+            j, sigma = biased_walk_currents(0.06, 0.04, 1000, 2000, SeededRng(1))
+            r = tur_check(j, 10 * sigma if holds else sigma / 10)
+            margin = r["lhs"] - r["rhs"]
+        elif kind == "trace":
+            chan = linear_gaussian_channel(1.0)
+            chan.score_scale = 1.0 if holds else 0.3
+            r = trace_bound_check(chan, np.array([-1.0, 1.0]))
+            margin = r["rhs"] - r["lhs"]
+        else:
+            t = np.linspace(0.0, 1.0, 11)
+            fluxes = {"times": t, "w_dot": np.full_like(t, 0.5 if holds else 2.0),
+                      "i_irr_dot": np.ones_like(t), "f_sys_dot": 0 * t, "s_prod_dot": 0 * t}
+            r = classical_bound_check(fluxes, T_env=1.0)
+            margin = r["rhs"] - r["lhs"]
+        assert {"lhs", "rhs", "satisfied", "slack"} <= set(r)
+        assert r["slack"] == margin
+        assert r["satisfied"] == holds == (r["slack"] > 0)
+
+
+def _monitor_loop(flux_series, limits, window=100):
+    """The per-sample safety monitor: each sample's limits checked in turn,
+    each trailing window read from the same two cumulative sums."""
+    t = np.asarray(flux_series["times"], dtype=float)
+    w = np.asarray(flux_series["w_dot"], dtype=float)
+    i = np.asarray(flux_series["i_irr_dot"], dtype=float)
+    sp = np.asarray(flux_series["s_prod_dot"], dtype=float)
+    f = np.asarray(flux_series.get("f_sys_dot", np.zeros_like(t)), dtype=float)
+    counts = {"power": 0, "info_rate": 0, "entropy_rate": 0, "free_energy_rate": 0, "chi": 0}
+    first = None
+    cw = np.concatenate([[0.0], np.cumsum(w)])
+    ci = np.concatenate([[0.0], np.cumsum(i)])
+    for k in range(len(t)):
+        bad = []
+        if w[k] > limits.P_max:
+            bad.append("power")
+        if i[k] > limits.I_dot_max:
+            bad.append("info_rate")
+        if sp[k] < 0 or sp[k] > limits.s_crit:
+            bad.append("entropy_rate")
+        if abs(f[k]) > limits.f_max:
+            bad.append("free_energy_rate")
+        lo = max(0, k + 1 - window)
+        iw = ci[k + 1] - ci[lo]
+        if iw > 0:
+            chi = (cw[k + 1] - cw[lo]) / iw
+            if not limits.chi_range[0] <= chi <= limits.chi_range[1]:
+                bad.append("chi")
+        for b in bad:
+            counts[b] += 1
+        if bad and first is None:
+            first = float(t[k])
+    return first, counts
+
+
+class TestSafetyMonitorAgainstLoop:
+    def test_random_series_match_the_per_sample_loop(self):
+        # Information flow is zero on about half the samples, so short windows
+        # often carry none; NaN lands in every channel of some series. Half the
+        # series hold multiples of 0.5, so samples and windowed ratios land
+        # exactly on their limits.
+        gen = SeededRng(77).generator()
+        zero_windows = nan_samples = chi_flags = 0
+        for _ in range(400):
+            n = int(gen.integers(0, 60))
+            window = int(gen.integers(1, 12))
+            if gen.random() < 0.5:
+                def draw(lo, hi, size=None):
+                    return 0.5 * gen.integers(2 * lo, 2 * hi + 1, size)
+            else:
+                draw = gen.uniform
+            series = {"times": np.cumsum(gen.uniform(0.01, 0.1, n)),
+                      "w_dot": draw(-1, 2, n) * (gen.random(n) < 0.8),
+                      "i_irr_dot": draw(0, 2, n) * (gen.random(n) < 0.5),
+                      "s_prod_dot": draw(-1, 3, n),
+                      "f_sys_dot": draw(-2, 2, n)}
+            if gen.random() < 0.3:
+                for key in ("w_dot", "i_irr_dot", "s_prod_dot", "f_sys_dot"):
+                    series[key][gen.random(n) < 0.03] = np.nan
+            lo = draw(-1, 1)
+            limits = SafetyLimits(chi_range=(lo, lo + draw(0.5, 3)),
+                                  P_max=draw(0.5, 3), I_dot_max=draw(0.5, 3),
+                                  s_crit=draw(0.5, 3), f_max=draw(0.5, 3))
+            rep = safety_monitor(series, limits, window=window)
+            first, counts = _monitor_loop(series, limits, window=window)
+            assert rep.first_violation_time == first
+            assert list(rep.counts.items()) == list(counts.items())
+            assert all(type(c) is int for c in rep.counts.values())
+            assert rep.n_samples == n
+            ci = np.concatenate([[0.0], np.cumsum(series["i_irr_dot"])])
+            ends = np.arange(1, n + 1)
+            zero_windows += int(np.sum(ci[ends] == ci[np.maximum(0, ends - window)]))
+            nan_samples += int(sum(np.isnan(series[k]).sum() for k in series))
+            chi_flags += counts["chi"]
+        assert zero_windows > 1000 and nan_samples > 100 and chi_flags > 1000
 
 
 class TestSafetyMonitor:
