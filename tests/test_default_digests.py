@@ -1,7 +1,8 @@
 """Default-config digests: every subcommand of `cli.HANDLERS` runs at its
 default config and seed 0, plus `checks` at seed 5, whose known TUR false
-alarm exits 4. Each run's exit code, stderr and the SHA-256 of every artifact
-it writes, manifest.json aside, must equal `tests/golden/default/digests.json`.
+alarm exits 4, and `bitflip` and `erasure` on `tests/golden/default/uneven.cfg`.
+Each run's exit code, stderr and the SHA-256 of every artifact it writes,
+manifest.json aside, must equal `tests/golden/default/digests.json`.
 
 The reduced configs of `test_golden.py` miss paths that only the default
 sizes take (double-well noise blocks shorter than a protocol chunk, BLAS
@@ -10,7 +11,9 @@ OPENBLAS_NUM_THREADS=1, because threaded BLAS moves low bits of exp3 and
 checks. On a mismatch the test names the file and its first differing line,
 found through the per-line digests stored beside each file's SHA-256.
 
-To regenerate after a deliberate output change (in a commit of its own):
+The rows name the config by a path relative to the repository root, and the
+rows run from there. To regenerate after a deliberate output change (in a
+commit of its own), from the repository root:
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python tests/test_default_digests.py \
         "$(mktemp -d)" > tests/golden/default/digests.json
@@ -25,11 +28,14 @@ import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
 DIGESTS = os.path.join(HERE, "golden", "default", "digests.json")
 
 ROWS = [[name, "--seed", "0"] for name in
         ("bitflip", "checks", "erasure", "exp1", "exp2", "exp3", "exp4", "gates", "monitor")]
 ROWS.append(["checks", "--seed", "5"])
+# an odd erasure ensemble and partial snapshot chunks, which no default size takes
+ROWS += [[name, "--seed", "0", "--config", "tests/golden/default/uneven.cfg"] for name in ("bitflip", "erasure")]
 
 
 def line_digests(data):
@@ -71,9 +77,9 @@ def first_difference(path, want):
 
 def test_default_outputs_match_digests(tmp_path):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join([os.path.join(HERE, "..", "src"), os.environ.get("PYTHONPATH", "")]))
+               PYTHONPATH=os.pathsep.join([os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, os.path.abspath(__file__), str(tmp_path)],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
     with open(DIGESTS) as fh:
