@@ -281,9 +281,9 @@ def _advance(params: DoubleWellParams, p, work, sched, gen, sigma, inv_gamma, st
     return p, work
 
 
-def _run_protocol(params: DoubleWellParams, schedule, T_protocol, trials, rng: SeededRng,
-                  init_labels, space: EncodingSpace):
-    """Shared driver: burn-in, chunked Langevin march, snapshot bookkeeping."""
+def _run_protocol(params: DoubleWellParams, schedule, T_protocol, trials, rng: SeededRng, n_high):
+    """Shared driver: burn-in, chunked Langevin march, snapshot bookkeeping.
+    The last `n_high` of the `trials` start in basin 1, the others in basin 0."""
     if trials < 2:
         raise InvalidConfigError(f"trials must be >= 2 for a spread, got {trials}")
     dt = params.dt
@@ -293,10 +293,8 @@ def _run_protocol(params: DoubleWellParams, schedule, T_protocol, trials, rng: S
     inv_gamma = 1.0 / params.gamma
 
     wells = params.well_positions(schedule[0])
-    p = np.empty(trials)
-    n0 = int(np.sum(np.asarray(init_labels) == 0))
-    p[:n0] = wells[0]
-    p[n0:] = wells[-1]
+    p = np.full(trials, wells[-1])
+    p[: trials - n_high] = wells[0]
 
     burn_steps = int(round(params.burn_in / dt))
     if burn_steps > 0:
@@ -304,26 +302,18 @@ def _run_protocol(params: DoubleWellParams, schedule, T_protocol, trials, rng: S
                         gen, sigma, inv_gamma, burn_steps, "burn-in")
 
     work = np.zeros(trials)
-    p0 = p.copy()
-    sample_every = max(1, steps // params.snapshots)
-    snap_steps = [0]
-    snaps = [p.copy()]
-    work_snaps = [0.0]
-    s = 0
-    while s < steps:
-        m = min(sample_every, steps - s)
-        p, work = _advance(params, p, work, schedule[s : s + m + 1], gen, sigma, inv_gamma,
-                           s + m, "protocol")
-        s += m
-        snap_steps.append(s)
-        snaps.append(p.copy())
-        work_snaps.append(float(work.mean()))
+    snap_steps = np.append(np.arange(0, steps, max(1, steps // params.snapshots)), steps)
+    snaps = np.empty((len(snap_steps), trials))
+    snaps[0] = p
+    work_cum = np.zeros(len(snap_steps))
+    for k, s in enumerate(snap_steps[1:].tolist(), 1):
+        p, work = _advance(params, p, work, schedule[snap_steps[k - 1] : s + 1], gen, sigma,
+                           inv_gamma, s, "protocol")
+        snaps[k] = p
+        work_cum[k] = work.mean()
 
-    snaps = np.asarray(snaps)
-    snap_steps = np.asarray(snap_steps)
     times = snap_steps * dt
-    all_vals = snaps.ravel()
-    lo, hi = float(all_vals.min()), float(all_vals.max())
+    lo, hi = float(snaps.min()), float(snaps.max())
     if hi <= lo:
         hi = lo + 1e-12
     s_sys = np.array([_hist_entropy(row, params.hist_bins, lo, hi) for row in snaps])
@@ -331,33 +321,34 @@ def _run_protocol(params: DoubleWellParams, schedule, T_protocol, trials, rng: S
     frac1 = np.array([(row > 0).mean() for row in snaps])
     frac0 = 1.0 - frac1
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(frac0 > 0, -frac0 * np.log(frac0), 0.0) + np.where(frac1 > 0, -frac1 * np.log(frac1), 0.0)
-    label_entropy = terms
+        label_entropy = (np.where(frac0 > 0, -frac0 * np.log(frac0), 0.0)
+                         + np.where(frac1 > 0, -frac1 * np.log(frac1), 0.0))
 
-    dU_trial = params.potential(p, schedule[-1]) - params.potential(p0, schedule[0])
+    dU_trial = params.potential(p, schedule[-1]) - params.potential(snaps[0], schedule[0])
     heat_trial = work - dU_trial
-    labels_T = space.classify(p) == 1
+    labels_T = make_double_well_space(params.a, params.b).classify(p) == 1
 
     # the label-0 basin ceases to exist once the tilt passes the spinodal
     # point; that instant is the (single) merge event of these protocols
     ledger = IrreversibilityLedger()
-    crit = params.spinodal_tilt()
-    cross = schedule >= crit
+    cross = schedule >= params.spinodal_tilt()
     if (not cross[0]) and cross.any():
         k = int(np.argmax(cross))
-        pri = np.array([np.mean(np.asarray(init_labels) == 0), np.mean(np.asarray(init_labels) == 1)])
+        pri = np.array([trials - n_high, n_high]) / trials
         ledger.append(k * dt, "merge", merge_entropy(pri, params.alpha), (0, 1), (1,))
 
-    report = BitFlipReport(
+    work_total = float(work.mean())
+    delta_F = params.free_energy(schedule[-1]) - params.free_energy(schedule[0])
+    return BitFlipReport(
         success_prob=float(labels_T.mean()),
-        work_total=float(work.mean()),
+        work_total=work_total,
         work_std=float(work.std(ddof=1) / np.sqrt(trials)),
         heat_env=float(heat_trial.mean()),
         heat_std=float(heat_trial.std(ddof=1) / np.sqrt(trials)),
         dU_sys=float(dU_trial.mean()),
         dS_sys=float(params.alpha * (s_sys[-1] - s_sys[0])),
-        dissipated_work=0.0,
-        delta_F=0.0,
+        dissipated_work=work_total - delta_F,
+        delta_F=delta_F,
         trials=trials,
         T_protocol=T_protocol,
         dt=dt,
@@ -366,7 +357,7 @@ def _run_protocol(params: DoubleWellParams, schedule, T_protocol, trials, rng: S
         occupancy={"times": times, "frac0": frac0, "frac1": frac1},
         series={
             "times": times,
-            "work_cum": np.asarray(work_snaps),
+            "work_cum": work_cum,
             "u_mean": u_mean,
             "s_sys": s_sys,
             "label_entropy": label_entropy,
@@ -374,15 +365,11 @@ def _run_protocol(params: DoubleWellParams, schedule, T_protocol, trials, rng: S
         per_trial={
             "work": work,
             "heat": heat_trial,
-            "final_state": p.copy(),
+            "final_state": p,
             "final_label": labels_T.astype(int),
         },
         ledger=ledger,
     )
-    dF = params.free_energy(schedule[-1]) - params.free_energy(schedule[0])
-    report.delta_F = float(dF)
-    report.dissipated_work = float(report.work_total - dF)
-    return report
 
 
 def bitflip_schedule(params: DoubleWellParams, T_protocol):
@@ -403,20 +390,14 @@ def erasure_schedule(params: DoubleWellParams, T_protocol):
 def simulate_bitflip(params: DoubleWellParams, T_protocol, trials, rng: SeededRng) -> BitFlipReport:
     """Drive label 0 -> 1 with the sinusoidal tilt schedule; the ensemble
     starts equilibrated in basin 0."""
-    space = make_double_well_space(params.a, params.b, params.alpha, priors=(1.0, 0.0))
-    sched = bitflip_schedule(params, T_protocol)
-    return _run_protocol(params, sched, T_protocol, trials, rng,
-                         init_labels=np.zeros(trials, dtype=int), space=space)
+    return _run_protocol(params, bitflip_schedule(params, T_protocol), T_protocol, trials, rng, 0)
 
 
 def simulate_erasure(params: DoubleWellParams, T_protocol, trials, rng: SeededRng) -> BitFlipReport:
     """Merge an equiprobable two-basin ensemble into basin 1; reports carry the
     heat needed to compare against the minimal alpha*kT*(ln 2 - residual)."""
-    space = make_double_well_space(params.a, params.b, params.alpha, priors=(0.5, 0.5))
-    sched = erasure_schedule(params, T_protocol)
-    init = np.zeros(trials, dtype=int)
-    init[trials // 2 :] = 1
-    return _run_protocol(params, sched, T_protocol, trials, rng, init_labels=init, space=space)
+    return _run_protocol(params, erasure_schedule(params, T_protocol), T_protocol, trials, rng,
+                         trials - trials // 2)
 
 
 def landauer_bound(report: BitFlipReport) -> float:

@@ -167,9 +167,7 @@ def _handle_bitflip(cfg: RunConfig, seed, out, threads):
     )
     for i, T in enumerate(pc.durations):
         rep = simulate_bitflip(pc, T, pc.trials, SeededRng(seed).derive(i))
-        result.add_row(T_protocol=T, success_prob=rep.success_prob, work_total=rep.work_total,
-                       heat_env=rep.heat_env, dU_sys=rep.dU_sys, dS_sys=rep.dS_sys,
-                       dissipated_work=rep.dissipated_work, work_std=rep.work_std)
+        result.add_row(**{c: getattr(rep, c) for c in result.columns})
     return Run(result, _protocol_sidecars("bitflip", rep, pc.per_trial_csv), [],
                f"bitflip: success={rep.success_prob:.3f} W_diss={rep.dissipated_work:.4f}")
 
@@ -184,9 +182,8 @@ def _handle_erasure(cfg: RunConfig, seed, out, threads):
                  "work_total", "dS_sys", "dissipated_work"],
         metadata={"seed": seed, "config": pc.__dict__.copy()},
     )
-    result.add_row(T_protocol=pc.T_protocol, success_prob=rep.success_prob, heat_env=rep.heat_env,
-                   heat_std=rep.heat_std, landauer_bound=bound, work_total=rep.work_total,
-                   dS_sys=rep.dS_sys, dissipated_work=rep.dissipated_work)
+    result.add_row(landauer_bound=bound,
+                   **{c: getattr(rep, c) for c in result.columns if c != "landauer_bound"})
     return Run(result, _protocol_sidecars("erasure", rep, pc.per_trial_csv), [],
                f"erasure: heat={rep.heat_env:.4f} >= bound={bound:.4f}?"
                f" {'yes' if rep.heat_env >= bound else 'NO'}")

@@ -254,14 +254,13 @@ def default_params():
 
 
 class TestBitFlip:
-    def test_zero_trials_invalid(self, default_params):
-        with pytest.raises(InvalidConfigError):
-            simulate_bitflip(default_params, 10.0, 0, SeededRng(0))
-
-    def test_single_trial_invalid(self, default_params):
-        # the work and heat spreads use ddof = 1, which one trial cannot give
+    @pytest.mark.parametrize("simulate", [simulate_bitflip, simulate_erasure], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("trials", [-1, 0, 1])
+    def test_single_trial_invalid(self, default_params, simulate, trials):
+        # the work and heat spreads use ddof = 1, which one trial cannot give;
+        # the check comes before any array is sized by `trials`
         with pytest.raises(InvalidConfigError, match="trials must be >= 2"):
-            simulate_bitflip(default_params, 1.0, 1, SeededRng(0))
+            simulate(default_params, 1.0, trials, SeededRng(0))
 
     def test_untilted_never_flips(self):
         # escape requires hopping a 10 kT barrier: essentially never happens
@@ -326,13 +325,11 @@ class TestErasure:
         # term: the excess stays well below kT ln 2, and the dissipated work
         # referenced to the basin-restricted start (F_start + kT ln 2) is a
         # small nonnegative finite-rate cost.
-        from metrilab.cce import _run_protocol, erasure_schedule, make_double_well_space
+        from metrilab.cce import _run_protocol, erasure_schedule
 
         kT = default_params.kT
         sched = erasure_schedule(default_params, 40.0)
-        space = make_double_well_space(priors=(0.0, 1.0))
-        rep = _run_protocol(default_params, sched, 40.0, 600, SeededRng(9),
-                            init_labels=np.ones(600, dtype=int), space=space)
+        rep = _run_protocol(default_params, sched, 40.0, 600, SeededRng(9), n_high=600)
         reversible_heat = -kT * rep.dS_sys / default_params.alpha
         excess = rep.heat_env - reversible_heat
         assert abs(excess) < 0.5 * kT * np.log(2.0)
