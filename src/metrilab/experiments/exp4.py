@@ -98,10 +98,8 @@ def patch_outward_flux(flows, patch, stride):
     H, W = flows.shape[1:]
     hp = (H - patch) // stride + 1
     wp = (W - patch) // stride + 1
-    r0 = (np.arange(hp) * stride)[:, None] * np.ones((1, wp), dtype=int)
-    c0 = np.ones((hp, 1), dtype=int) * (np.arange(wp) * stride)[None, :]
-    r0 = r0.astype(int)
-    c0 = c0.astype(int)
+    r0 = (np.arange(hp) * stride)[:, None]
+    c0 = (np.arange(wp) * stride)[None, :]
     out = np.zeros((hp, wp), dtype=np.int64)
     for n in range(8):
         di, dj = int(MOORE_OFFSETS[n, 0]), int(MOORE_OFFSETS[n, 1])

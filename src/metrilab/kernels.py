@@ -110,11 +110,11 @@ def ca_step(E, K):
     if K < 1:
         raise ValueError("flow divisor K must be >= 1")
     H, W = E.shape
+    shifts = [((slice(max(0, -di), H - max(0, di)), slice(max(0, -dj), W - max(0, dj))),
+               (slice(max(0, di), H - max(0, -di)), slice(max(0, dj), W - max(0, -dj))))
+              for di, dj in MOORE_OFFSETS.tolist()]
     d = np.full((8, H, W), -1, dtype=np.int64)
-    for n in range(8):
-        di, dj = int(MOORE_OFFSETS[n, 0]), int(MOORE_OFFSETS[n, 1])
-        src = (slice(max(0, -di), H - max(0, di)), slice(max(0, -dj), W - max(0, dj)))
-        dst = (slice(max(0, di), H - max(0, -di)), slice(max(0, dj), W - max(0, -dj)))
+    for n, (src, dst) in enumerate(shifts):
         d[n][src] = E[src] - E[dst]
     o = np.where(d > 0, np.maximum(d, 0) // K, 0).astype(np.int64)
     total = o.sum(axis=0)
@@ -128,10 +128,7 @@ def ca_step(E, K):
         bump = (rank < rem[None, :, :]).astype(np.int64)
         o = np.where(cap[None, :, :], scaled + bump, o)
     inflow = np.zeros_like(E)
-    for n in range(8):
-        di, dj = int(MOORE_OFFSETS[n, 0]), int(MOORE_OFFSETS[n, 1])
-        src = (slice(max(0, -di), H - max(0, di)), slice(max(0, -dj), W - max(0, dj)))
-        dst = (slice(max(0, di), H - max(0, -di)), slice(max(0, dj), W - max(0, -dj)))
+    for n, (src, dst) in enumerate(shifts):
         inflow[dst] += o[n][src]
     E_new = E - o.sum(axis=0) + inflow
     return E_new, o
