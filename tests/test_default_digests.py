@@ -6,9 +6,9 @@ manifest.json aside, must equal `tests/golden/default/digests.json`.
 
 The reduced configs of `test_golden.py` miss paths that only the default
 sizes take (double-well noise blocks shorter than a protocol chunk, BLAS
-thresholds), so this test covers them. All rows run in one subprocess with
-OPENBLAS_NUM_THREADS=1, because threaded BLAS moves low bits of exp3 and
-checks. On a mismatch the test names the file and its first differing line,
+thresholds), so this test covers them. The rows run in two concurrent
+subprocesses with OPENBLAS_NUM_THREADS=1, because threaded BLAS moves low bits
+of exp3 and checks. On a mismatch the test names the file and its first differing line,
 found through the per-line digests stored beside each file's SHA-256.
 
 The rows name the config by a path relative to the repository root, and the
@@ -36,6 +36,9 @@ ROWS = [[name, "--seed", "0"] for name in
 ROWS.append(["checks", "--seed", "5"])
 # an odd erasure ensemble and partial snapshot chunks, which no default size takes
 ROWS += [[name, "--seed", "0", "--config", "tests/golden/default/uneven.cfg"] for name in ("bitflip", "erasure")]
+# the default bitflip takes about a third of the rows' time, so it runs in a
+# subprocess of its own beside one that runs the rest
+PARTS = [[0], list(range(1, len(ROWS)))]
 
 
 def line_digests(data):
@@ -43,13 +46,14 @@ def line_digests(data):
     return "".join(hashlib.sha256(line).hexdigest()[:8] for line in data.splitlines(keepends=True))
 
 
-def run_rows(out):
-    """Run every row through cli.main in this process, writing row i into
-    out/<i>; -> one record per row."""
+def run_rows(out, indices):
+    """Run the rows at `indices` through cli.main in this process, writing
+    row i into out/<i>; -> one record per row."""
     from metrilab.cli import main as cli_main
 
     records = []
-    for i, args in enumerate(ROWS):
+    for i in indices:
+        args = ROWS[i]
         row_out = os.path.join(out, str(i))
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
@@ -78,10 +82,13 @@ def first_difference(path, want):
 def test_default_outputs_match_digests(tmp_path):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, os.path.abspath(__file__), str(tmp_path)],
-                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout)
+    procs = [subprocess.Popen([sys.executable, os.path.abspath(__file__), str(tmp_path), *map(str, part)],
+                              cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+             for part in PARTS]
+    got = []
+    for proc, (stdout, stderr) in zip(procs, [proc.communicate(timeout=120) for proc in procs]):
+        assert proc.returncode == 0, stderr
+        got += json.loads(stdout)
     with open(DIGESTS) as fh:
         want = json.load(fh)
     assert [r["args"] for r in got] == [r["args"] for r in want] == ROWS
@@ -96,5 +103,5 @@ def test_default_outputs_match_digests(tmp_path):
 
 
 if __name__ == "__main__":
-    json.dump(run_rows(sys.argv[1]), sys.stdout, indent=1)
+    json.dump(run_rows(sys.argv[1], [int(i) for i in sys.argv[2:]] or range(len(ROWS))), sys.stdout, indent=1)
     sys.stdout.write("\n")
