@@ -8,8 +8,9 @@ The reduced configs of `test_golden.py` miss paths that only the default
 sizes take (double-well noise blocks shorter than a protocol chunk, BLAS
 thresholds), so this test covers them. The rows run in two concurrent
 subprocesses with OPENBLAS_NUM_THREADS=1, because threaded BLAS moves low bits
-of exp3 and checks. On a mismatch the test names the file and its first differing line,
-found through the per-line digests stored beside each file's SHA-256.
+of exp3 and checks. On a mismatch the test names the file and its first
+differing line, found through the per-line digests stored beside each file's
+SHA-256.
 
 The rows name the config by a path relative to the repository root, and the
 rows run from there. To regenerate after a deliberate output change (in a
@@ -17,6 +18,8 @@ commit of its own), from the repository root:
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python tests/test_default_digests.py \
         "$(mktemp -d)" > tests/golden/default/digests.json
+
+Row indices after the output directory run only those rows.
 """
 
 import contextlib
@@ -85,8 +88,9 @@ def test_default_outputs_match_digests(tmp_path):
     procs = [subprocess.Popen([sys.executable, os.path.abspath(__file__), str(tmp_path), *map(str, part)],
                               cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
              for part in PARTS]
+    outputs = [proc.communicate(timeout=120) for proc in procs]
     got = []
-    for proc, (stdout, stderr) in zip(procs, [proc.communicate(timeout=120) for proc in procs]):
+    for proc, (stdout, stderr) in zip(procs, outputs):
         assert proc.returncode == 0, stderr
         got += json.loads(stdout)
     with open(DIGESTS) as fh:
