@@ -101,10 +101,11 @@ class EncodingSpace:
         return np.where(v < self.lo, 0, np.where(v > self.hi, 1, BOUNDARY))
 
 
-def make_double_well_space(a=1.0, b=2.0, alpha=1.0, priors=(0.5, 0.5)):
-    """Two-label sign readout for the quartic double well a p^4 - b p^2."""
+def make_double_well_space(a=1.0, b=2.0, alpha=1.0):
+    """Two-label sign readout for the quartic double well a p^4 - b p^2,
+    with equal priors."""
     band = BAND_FRAC * (2.0 * np.sqrt(b / (2.0 * a)))
-    return EncodingSpace((0, 1), -band, band, alpha=alpha, priors=priors)
+    return EncodingSpace((0, 1), -band, band, alpha=alpha)
 
 
 def label_jumps(idx, start=BOUNDARY):
