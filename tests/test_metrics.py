@@ -1,9 +1,10 @@
+import ctypes
 import dataclasses
 
 import numpy as np
 import pytest
 
-from metrilab import metrics
+from metrilab import metrics, numerics
 from metrilab.cli import _checks_rows
 from metrilab.errors import (
     ChannelIrregularError,
@@ -112,11 +113,22 @@ class TestTURBootstrapCache:
             assert tur_check(j, sigma) == _tur_check_fresh(j, sigma)
 
     def test_cached_index_is_read_only(self):
-        idx = metrics._bootstrap_index(100)
-        assert idx.shape == (metrics.TUR_BOOTSTRAP, 100)
-        assert not idx.flags.writeable
-        with pytest.raises(ValueError):
-            idx[0, 0] = 1
+        # The compact index equals a fresh int64 draw at sizes that cross
+        # uint8 -> uint16 (above 256) and uint16 -> uint32 (above 65 536);
+        # 10 000 is the near-equilibrium row's size. The oracle is drawn 50
+        # rows at a time from one generator, which continues one stream.
+        for size, dtype in ((100, np.uint8), (2000, np.uint16), (10000, np.uint16),
+                            (65536, np.uint16), (65537, np.uint32)):
+            idx = metrics._bootstrap_index(size)
+            assert idx.shape == (metrics.TUR_BOOTSTRAP, size)
+            assert idx.dtype == dtype
+            gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(0xB007)))
+            for r in range(0, metrics.TUR_BOOTSTRAP, 50):
+                assert np.array_equal(idx[r : r + 50], gen.integers(0, size, size=(50, size)))
+            assert not idx.flags.writeable
+            with pytest.raises(ValueError):
+                idx[0, 0] = 1
+        metrics._bootstrap_index.cache_clear()  # the last index is 52 MB
 
     def test_checks_rows_keep_order_and_values_on_false_alarm_seed(self):
         # seed 5 fails one tur_walk row at the default [checks] config; the
@@ -168,6 +180,24 @@ class TestBlockedBootstrap:
         assert np.array_equal(metrics._bootstrap_ratios(j), _bootstrap_ratios_whole(j))
 
 
+@pytest.fixture
+def one_blas_thread():
+    # The whole (atoms, y) mixture below runs threaded in OpenBLAS from a few
+    # hundred atoms on, and a threaded gemv sums in another order; the byte
+    # contract is kept on one BLAS thread, as the default digests run.
+    set_threads = numerics._openblas_function("set_num_threads")
+    if set_threads is None:
+        yield
+        return
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    before = numerics.blas_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
 def _mi_whole(channel, z_atoms, weights):
     # mutual_information_quadrature as it was before the blocks: every
     # (atoms, y) array whole
@@ -192,8 +222,12 @@ class TestBlockedQuadrature:
         "corrupted": dataclasses.replace(logistic_mean_channel(2.0, 1.5, 0.2, 0.6), score_scale=0.3),
     }
 
-    # 16 atoms per block at the default budget: 200 atoms leave a short last block
-    @pytest.mark.parametrize("atoms", (2, 17, 200))
+    # At the default budget the KL stage takes 16 atoms per block, so 50, 200
+    # and 201 atoms leave a short last block. The mixture takes y whole at 2
+    # atoms and in columns of 3840 points at 17, 1280 at 50 and 320 at 200
+    # and 201.
+    @pytest.mark.usefixtures("one_blas_thread")
+    @pytest.mark.parametrize("atoms", (2, 17, 50, 200, 201))
     @pytest.mark.parametrize("channel", sorted(CHANNELS))
     def test_blocks_equal_whole_arrays(self, channel, atoms):
         chan = self.CHANNELS[channel]
@@ -205,15 +239,18 @@ class TestBlockedQuadrature:
         assert mi == mi_ref
         assert np.array_equal(kl, kl_ref)
 
+    # mixture widths of 192 and 1600 points at 17 atoms, 64 and 128 at 201
+    @pytest.mark.usefixtures("one_blas_thread")
     @pytest.mark.parametrize("rows", (1, 7))
     def test_any_block_height_equals_whole_arrays(self, monkeypatch, rows):
         monkeypatch.setattr(metrics, "BLOCK_ELEMENTS", rows * metrics.MI_Y_POINTS)
         chan = self.CHANNELS["logistic"]
-        z = SeededRng(34).generator().standard_normal(17)
-        w = np.full(17, 1.0 / 17)
-        mi, kl = metrics.mutual_information_quadrature(chan, z, w)
-        mi_ref, kl_ref = _mi_whole(chan, z, w)
-        assert mi == mi_ref and np.array_equal(kl, kl_ref)
+        for atoms in (17, 201):
+            z = SeededRng(34).generator().standard_normal(atoms)
+            w = np.full(atoms, 1.0 / atoms)
+            mi, kl = metrics.mutual_information_quadrature(chan, z, w)
+            mi_ref, kl_ref = _mi_whole(chan, z, w)
+            assert mi == mi_ref and np.array_equal(kl, kl_ref)
 
 
 class TestTraceBound:

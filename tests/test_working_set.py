@@ -1,16 +1,18 @@
-"""Peak allocations of the blocked statistics and the blocked noise draws.
+"""Peak allocations of the blocked statistics, the blocked noise draws and a
+whole default `checks` run.
 
 tracemalloc sees numpy's array allocations, so each bound below fails if a
 whole-array form comes back: the (200, 10 000) bootstrap gather alone is
-16 MB, the (200, 4001) quadrature temporaries about 30 MB, and a one-shot
-(1000, 1000) burn-in draw 8 MB.
+16 MB, an int64 resample index of that shape 16 MB more, the (200, 4001)
+quadrature densities 6.4 MB, and a one-shot (1000, 1000) burn-in draw 8 MB.
 """
 
 import tracemalloc
 
 import numpy as np
 
-from metrilab import cce, metrics
+from metrilab import cce, cli, metrics
+from metrilab.config import parse_config
 from metrilab.numerics import SeededRng
 
 MiB = 1 << 20
@@ -37,9 +39,15 @@ def test_tur_check_at_ten_thousand_walkers():
 def test_quadrature_at_two_hundred_atoms():
     z = SeededRng(3).generator().standard_normal(200)
     chan = metrics.logistic_mean_channel(2.0, 1.5, 0.2, 0.6)
-    p_bytes = z.size * metrics.MI_Y_POINTS * 8  # the densities, kept whole for the mixture
     peak = peak_allocation(lambda: metrics.mutual_information_quadrature(chan, z, np.full(200, 0.005)))
-    assert peak < p_bytes + 3 * MiB
+    assert peak < 3 * MiB
+
+
+def test_default_checks_run():
+    # the uint16 resample index of the 10 000-walker near-equilibrium row is
+    # 3.8 MiB of this peak; it is drawn inside the run
+    metrics._bootstrap_index.cache_clear()
+    assert peak_allocation(lambda: cli._checks_rows(parse_config(None), 0)) < 8 * MiB
 
 
 def test_burn_in_of_a_thousand_trials():
