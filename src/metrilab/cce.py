@@ -318,15 +318,25 @@ def _run_protocol(params: DoubleWellParams, schedule, T_protocol, trials, rng: S
     if hi <= lo:
         hi = lo + 1e-12
     s_sys = np.array([_hist_entropy(row, params.hist_bins, lo, hi) for row in snaps])
-    u_mean = np.array([params.potential(row, schedule[k]).mean() for row, k in zip(snaps, snap_steps)])
     frac1 = np.array([(row > 0).mean() for row in snaps])
     frac0 = 1.0 - frac1
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # An empty basin takes log(0) in the label entropy. A finite state can
+    # still carry a quartic energy, or an ensemble moment, that overflows;
+    # such a run raises like a non-finite state, and its overflow warnings
+    # are silenced because the error reports it. A non-finite trial makes
+    # its ensemble mean non-finite.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         label_entropy = (np.where(frac0 > 0, -frac0 * np.log(frac0), 0.0)
                          + np.where(frac1 > 0, -frac1 * np.log(frac1), 0.0))
-
-    dU_trial = params.potential(p, schedule[-1]) - params.potential(snaps[0], schedule[0])
-    heat_trial = work - dU_trial
+        u_mean = np.array([params.potential(row, schedule[k]).mean()
+                           for row, k in zip(snaps, snap_steps)])
+        dU_trial = params.potential(p, schedule[-1]) - params.potential(snaps[0], schedule[0])
+        heat_trial = work - dU_trial
+        moments = np.array([work.mean(), work.std(ddof=1), heat_trial.mean(),
+                            heat_trial.std(ddof=1), dU_trial.mean()])
+    if not (np.isfinite(moments).all() and np.isfinite(u_mean).all()):
+        raise IntegrationDivergedError(steps, f"non-finite double-well energy by protocol step {steps}")
+    work_total, work_sd, heat_env, heat_sd, dU_sys = moments.tolist()
     labels_T = make_double_well_space(params.a, params.b).classify(p) == 1
 
     # the label-0 basin ceases to exist once the tilt passes the spinodal
@@ -338,15 +348,14 @@ def _run_protocol(params: DoubleWellParams, schedule, T_protocol, trials, rng: S
         pri = np.array([trials - n_high, n_high]) / trials
         ledger.append(k * dt, "merge", merge_entropy(pri, params.alpha), (0, 1), (1,))
 
-    work_total = float(work.mean())
     delta_F = params.free_energy(schedule[-1]) - params.free_energy(schedule[0])
     return BitFlipReport(
         success_prob=float(labels_T.mean()),
         work_total=work_total,
-        work_std=float(work.std(ddof=1) / np.sqrt(trials)),
-        heat_env=float(heat_trial.mean()),
-        heat_std=float(heat_trial.std(ddof=1) / np.sqrt(trials)),
-        dU_sys=float(dU_trial.mean()),
+        work_std=work_sd / float(np.sqrt(trials)),
+        heat_env=heat_env,
+        heat_std=heat_sd / float(np.sqrt(trials)),
+        dU_sys=dU_sys,
         dS_sys=float(params.alpha * (s_sys[-1] - s_sys[0])),
         dissipated_work=work_total - delta_F,
         delta_F=delta_F,

@@ -9,8 +9,9 @@ Exit codes: 0 success, 2 config error, 3 numerical failure, 4 check failure.
 Each failing row is printed as one JSON line on stderr (also under --quiet)
 and listed under `failures` in the manifest. CSV tables and *.meta.json /
 *.json result sidecars are byte-deterministic for a fixed (config, seed);
-manifest.json additionally records timestamp and wall time and is the one
-artifact excluded from the byte-identity guarantee.
+manifest.json additionally records timestamp, wall time and the OpenBLAS
+thread count, and is the one artifact excluded from the byte-identity
+guarantee.
 """
 
 import argparse
@@ -53,7 +54,7 @@ from .metrics import (
     trace_bound_check,
     tur_check,
 )
-from .numerics import SeededRng
+from .numerics import SeededRng, blas_threads
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -379,6 +380,7 @@ def main(argv=None):
         "code_version": __version__,
         "kernel_path": "numpy",
         "versions": {"python": platform.python_version(), "numpy": np.__version__},
+        "blas_threads": blas_threads(),
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "wall_time_s": round(time.time() - start, 3),
         "exit_code": code,

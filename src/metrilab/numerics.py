@@ -4,8 +4,13 @@ All randomness in the package flows through :class:`SeededRng`, which wraps
 numpy's PCG64 generator. Gaussian draws use numpy's ziggurat implementation
 (`Generator.standard_normal`), which is deterministic for a fixed seed and
 stable across platforms.
+
+`blas_threads` reads the thread count of the OpenBLAS that numpy loaded. A
+BLAS product's low bits can move with the BLAS kernel and its thread count,
+so each run's manifest records the count.
 """
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +22,35 @@ POWER_ITERATION_CAP = 10_000
 #: or a blocked noise draw; small enough that a block and its temporaries stay
 #: in a core's L2 cache
 BLOCK_ELEMENTS = 1 << 16
+
+
+def _openblas_function(stem):
+    """OpenBLAS's `openblas_<stem>` from the library mapped into this process,
+    under whichever of its builds' export names it carries; None when no
+    OpenBLAS is mapped or /proc/self/maps cannot be read."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return None
+    names = (f"openblas_{stem}", f"openblas_{stem}64_",
+             f"scipy_openblas_{stem}64_", f"scipy_openblas_{stem}")
+    for path in sorted(libs):
+        lib = ctypes.CDLL(path)
+        for name in names:
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                return fn
+    return None
+
+
+def blas_threads():
+    """Thread count the mapped OpenBLAS reports, or None without one."""
+    fn = _openblas_function("get_num_threads")
+    if fn is None:
+        return None
+    fn.argtypes, fn.restype = [], ctypes.c_int
+    return int(fn())
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@ import json
 import os
 import pathlib
 import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from metrilab.cli import main
 from metrilab.config import (_SECTIONS, RunConfig, build_run_config, parse_config,
                              parse_config_text, parse_value)
 from metrilab.errors import InvalidConfigError, MetrilabError
-from metrilab.numerics import SeededRng
+from metrilab.numerics import SeededRng, blas_threads
 
 
 class TestValueParsing:
@@ -146,6 +148,17 @@ class TestCLI:
         assert "timestamp" in manifest
         assert manifest["kernel_path"] == "numpy"
         assert manifest["versions"] == {"python": platform.python_version(), "numpy": np.__version__}
+
+    def test_manifest_records_the_blas_thread_count(self, tmp_path):
+        # a fresh interpreter, since OpenBLAS reads its thread variable at load
+        out = tmp_path / "m"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "metrilab.cli", "monitor", "--out", str(out), "--quiet"],
+                       env=env, check=True)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["blas_threads"] == (None if blas_threads() is None else 1)
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -343,6 +356,11 @@ class TestCLI:
         _config_error("gates", "[gates]\ntheta_and = 5.0\n", "gates_theta_and"),
         pytest.param("monitor", None, False, 2, "config-unreadable", id="config_is_directory"),
         _config_error("monitor", b"[monitor]\nsteps = 10  # \xff\n", "config_not_utf8"),
+        # finite states whose quartic energies or heat spread overflow
+        pytest.param("bitflip", "[bitflip]\ndt = 0.5\ntrials = 20\ndurations = [1.0]\n", False, 3,
+                     "numerical-failure", id="bitflip_energy_overflow"),
+        pytest.param("erasure", "[erasure]\ndt = 0.5\ntrials = 20\nT_protocol = 1.0\n", False, 3,
+                     "numerical-failure", id="erasure_heat_overflow"),
     ])
     def test_exit_code_table(self, tmp_path, capsys, subcommand, config, out_is_file, code, error):
         # each failure ends in its documented code with one JSON line on
