@@ -30,18 +30,28 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from metrilab.cli import HANDLERS, main as cli_main
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 DIGESTS = os.path.join(HERE, "golden", "default", "digests.json")
 
-ROWS = [[name, "--seed", "0"] for name in
-        ("bitflip", "checks", "erasure", "exp1", "exp2", "exp3", "exp4", "gates", "monitor")]
+ROWS = [[name, "--seed", "0"] for name in sorted(HANDLERS)]
 ROWS.append(["checks", "--seed", "5"])
 # an odd erasure ensemble and partial snapshot chunks, which no default size takes
 ROWS += [[name, "--seed", "0", "--config", "tests/golden/default/uneven.cfg"] for name in ("bitflip", "erasure")]
-# the default bitflip takes about a third of the rows' time, so it runs in a
-# subprocess of its own beside one that runs the rest
-PARTS = [[0], list(range(1, len(ROWS)))]
+# reduced configs at seed 3; the subcommands whose rows run through
+# experiments.base.sweep also run at three threads
+REDUCED = len(ROWS)
+for name in sorted(HANDLERS):
+    ROWS.append([name, "--seed", "3", "--config", f"tests/golden/cli/{name}.cfg"])
+    if name in ("checks", "exp1", "exp3"):
+        ROWS.append(ROWS[-1] + ["--threads", "3"])
+# the default bitflip takes about a third of the rows' time, so it runs with
+# the reduced rows in one subprocess, beside one that runs the rest
+PARTS = [[0, *range(REDUCED, len(ROWS))], list(range(1, REDUCED))]
 
 
 def line_digests(data):
@@ -52,8 +62,6 @@ def line_digests(data):
 def run_rows(out, indices):
     """Run the rows at `indices` through cli.main in this process, writing
     row i into out/<i>; -> one record per row."""
-    from metrilab.cli import main as cli_main
-
     records = []
     for i in indices:
         args = ROWS[i]
@@ -82,28 +90,48 @@ def first_difference(path, want):
     return f"{len(lines)} lines where {len(want['lines']) // 8} are stored"
 
 
-def test_default_outputs_match_digests(tmp_path):
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """(output directory, one record per row in ROWS order) from one run of
+    every row, in the subprocesses of PARTS."""
+    out = tmp_path_factory.mktemp("digests")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]))
-    procs = [subprocess.Popen([sys.executable, os.path.abspath(__file__), str(tmp_path), *map(str, part)],
+    procs = [subprocess.Popen([sys.executable, os.path.abspath(__file__), str(out), *map(str, part)],
                               cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
              for part in PARTS]
     outputs = [proc.communicate(timeout=120) for proc in procs]
-    got = []
-    for proc, (stdout, stderr) in zip(procs, outputs):
+    got = [None] * len(ROWS)
+    for proc, part, (stdout, stderr) in zip(procs, PARTS, outputs):
         assert proc.returncode == 0, stderr
-        got += json.loads(stdout)
+        for i, record in zip(part, json.loads(stdout)):
+            got[i] = record
+    return out, got
+
+
+@pytest.fixture(scope="module")
+def stored():
     with open(DIGESTS) as fh:
-        want = json.load(fh)
-    assert [r["args"] for r in got] == [r["args"] for r in want] == ROWS
-    for i, (g, w) in enumerate(zip(got, want)):
-        row = " ".join(w["args"])
-        assert (g["exit"], g["stderr"]) == (w["exit"], w["stderr"]), f"{row}: exit code or stderr changed"
-        assert sorted(g["files"]) == sorted(w["files"]), f"{row}: other artifacts written"
-        for fname, digest in w["files"].items():
-            if g["files"][fname]["sha256"] != digest["sha256"]:
-                where = first_difference(tmp_path / str(i) / fname, digest)
-                raise AssertionError(f"{row}: {fname} differs from its digest at {where}")
+        return json.load(fh)
+
+
+def test_rows_are_the_stored_rows(runs, stored):
+    """Every subcommand has its rows, and the stored file holds exactly them."""
+    _, got = runs
+    assert [r["args"] for r in got] == [r["args"] for r in stored] == ROWS
+
+
+@pytest.mark.parametrize("i", range(len(ROWS)), ids=[" ".join(args) for args in ROWS])
+def test_outputs_match_digests(runs, stored, i):
+    out, got = runs
+    g = got[i]
+    w = next((r for r in stored if r["args"] == ROWS[i]), None)
+    assert w is not None, "no stored digests for this row"
+    assert (g["exit"], g["stderr"]) == (w["exit"], w["stderr"]), "exit code or stderr changed"
+    assert sorted(g["files"]) == sorted(w["files"]), "other artifacts written"
+    wrong = [f"{fname} differs from its digest at {first_difference(out / str(i) / fname, digest)}"
+             for fname, digest in w["files"].items() if g["files"][fname]["sha256"] != digest["sha256"]]
+    assert not wrong, "; ".join(wrong)
 
 
 if __name__ == "__main__":
