@@ -1,16 +1,21 @@
-"""Default-config digests: every subcommand of `cli.HANDLERS` runs at its
-default config and seed 0, plus `checks` at seed 5, whose known TUR false
-alarm exits 4, and `bitflip` and `erasure` on `tests/golden/default/uneven.cfg`.
-Each run's exit code, stderr and the SHA-256 of every artifact it writes,
-manifest.json aside, must equal `tests/golden/default/digests.json`.
+"""Byte identity through stored digests: every row of ROWS runs through the
+CLI, and its exit code, stderr and the SHA-256 of every artifact it writes,
+manifest.json aside, must equal its entry in
+`tests/golden/default/digests.json`. The rows are:
 
-The reduced configs of `test_golden.py` miss paths that only the default
-sizes take (double-well noise blocks shorter than a protocol chunk, BLAS
-thresholds), so this test covers them. The rows run in two concurrent
-subprocesses with OPENBLAS_NUM_THREADS=1, because threaded BLAS moves low bits
-of exp3 and checks. On a mismatch the test names the file and its first
-differing line, found through the per-line digests stored beside each file's
-SHA-256.
+- every subcommand of `cli.HANDLERS` at its default config and seed 0, plus
+  `checks` at seed 5, whose known TUR false alarm exits 4, and `bitflip` and
+  `erasure` on `tests/golden/default/uneven.cfg`;
+- every subcommand on its reduced config `tests/golden/cli/<name>.cfg` at
+  seed 3, and the sweeps (`checks`, `exp1`, `exp3`) there at three threads
+  as well.
+
+The rows are built from `cli.HANDLERS`, so a subcommand without stored
+digests fails. They run once, in two concurrent subprocesses with
+OPENBLAS_NUM_THREADS=1, because threaded BLAS moves low bits of exp3; each
+row is then one test case. On a mismatch the case names the file and its
+first differing line, found through the per-line digests stored beside each
+file's SHA-256.
 
 The rows name the config by a path relative to the repository root, and the
 rows run from there. To regenerate after a deliberate output change (in a
