@@ -115,8 +115,8 @@ def ca_step(E, K):
               for di, dj in MOORE_OFFSETS.tolist()]
     d = np.full((8, H, W), -1, dtype=np.int64)
     for n, (src, dst) in enumerate(shifts):
-        d[n][src] = E[src] - E[dst]
-    o = np.where(d > 0, np.maximum(d, 0) // K, 0).astype(np.int64)
+        np.subtract(E[src], E[dst], out=d[n][src])
+    o = np.maximum(d, 0) // K
     total = o.sum(axis=0)
     cap = total > E
     if np.any(cap):
@@ -127,10 +127,10 @@ def ca_step(E, K):
         rank = np.argsort(order, axis=0, kind="stable")
         bump = (rank < rem[None, :, :]).astype(np.int64)
         o = np.where(cap[None, :, :], scaled + bump, o)
-    inflow = np.zeros_like(E)
+        total = o.sum(axis=0)
+    E_new = E - total
     for n, (src, dst) in enumerate(shifts):
-        inflow[dst] += o[n][src]
-    E_new = E - o.sum(axis=0) + inflow
+        E_new[dst] += o[n][src]
     return E_new, o
 
 
