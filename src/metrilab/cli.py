@@ -8,8 +8,9 @@ plus a run manifest, into the output directory through experiments.base.
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 check failure.
 Each failing row is printed as one JSON line on stderr (also under --quiet)
 and listed under `failures` in the manifest. CSV tables and *.meta.json /
-*.json result sidecars are byte-deterministic for a fixed (config, seed);
-manifest.json additionally records timestamp, wall time and the OpenBLAS
+*.json result sidecars are byte-deterministic for a fixed (config, seed):
+the handler runs on one OpenBLAS thread, whatever OPENBLAS_NUM_THREADS says.
+manifest.json additionally records timestamp, wall time and that OpenBLAS
 thread count, and is the one artifact excluded from the byte-identity
 guarantee.
 """
@@ -54,7 +55,7 @@ from .metrics import (
     trace_bound_check,
     tur_check,
 )
-from .numerics import SeededRng, blas_threads
+from .numerics import SeededRng, one_blas_thread
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -348,7 +349,8 @@ def main(argv=None):
         print(json.dumps({"error": "bad-output-dir", "detail": str(exc)}), file=sys.stderr)
         return EXIT_CONFIG
     try:
-        run = HANDLERS[args.subcommand](cfg, seed, out, max(1, args.threads))
+        with one_blas_thread() as threads_in_effect:
+            run = HANDLERS[args.subcommand](cfg, seed, out, max(1, args.threads))
     except InvalidConfigError as exc:
         print(json.dumps({"error": "config-error", "detail": str(exc)}), file=sys.stderr)
         return EXIT_CONFIG
@@ -380,7 +382,7 @@ def main(argv=None):
         "code_version": __version__,
         "kernel_path": "numpy",
         "versions": {"python": platform.python_version(), "numpy": np.__version__},
-        "blas_threads": blas_threads(),
+        "blas_threads": threads_in_effect,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "wall_time_s": round(time.time() - start, 3),
         "exit_code": code,

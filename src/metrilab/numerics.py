@@ -7,9 +7,11 @@ stable across platforms.
 
 `blas_threads` reads the thread count of the OpenBLAS that numpy loaded. A
 BLAS product's low bits can move with the BLAS kernel and its thread count,
-so each run's manifest records the count.
+so `cli.main` runs each subcommand under `one_blas_thread` and its manifest
+records the count.
 """
 
+import contextlib
 import ctypes
 from dataclasses import dataclass
 
@@ -51,6 +53,23 @@ def blas_threads():
         return None
     fn.argtypes, fn.restype = [], ctypes.c_int
     return int(fn())
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Pin the mapped OpenBLAS to one thread inside the block and restore its
+    count after; yields the count in effect inside (None without OpenBLAS)."""
+    set_threads = _openblas_function("set_num_threads")
+    if set_threads is None:
+        yield None
+        return
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    before = blas_threads()
+    set_threads(1)
+    try:
+        yield blas_threads()
+    finally:
+        set_threads(before)
 
 
 @dataclass(frozen=True)

@@ -160,6 +160,26 @@ class TestCLI:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["blas_threads"] == (None if blas_threads() is None else 1)
 
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two BLAS threads need two cores")
+    def test_bytes_do_not_move_with_the_blas_thread_variable(self, tmp_path):
+        # the last default block of four rho values: unpinned, its ridge fits
+        # at two OpenBLAS threads move a low bit of exp3.csv
+        cfg = tmp_path / "exp3.cfg"
+        cfg.write_text("[exp3]\nrho_grid = [1.5315789473684212, 1.6210526315789475, "
+                       "1.710526315789474, 1.8]\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        artifacts = {}
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run([sys.executable, "-m", "metrilab.cli", "exp3", "--seed", "0", "--config",
+                            str(cfg), "--out", str(out), "--quiet"], env=env, check=True)
+            artifacts[threads] = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+        assert artifacts["1"] == artifacts["2"]
+        manifest = json.loads((tmp_path / "2" / "manifest.json").read_text())
+        assert manifest["blas_threads"] == (None if blas_threads() is None else 1)
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("[exp4]\nheight = 64\nwidth = 64\nsteps = 60\nradius = 9\n"

@@ -11,9 +11,8 @@ manifest.json aside, must equal its entry in
   as well.
 
 The rows are built from `cli.HANDLERS`, so a subcommand without stored
-digests fails. They run once, in two concurrent subprocesses with
-OPENBLAS_NUM_THREADS=1, because threaded BLAS moves low bits of exp3; each
-row is then one test case. On a mismatch the case names the file and its
+digests fails. They run once, in two concurrent subprocesses, and each row
+is then one test case. On a mismatch the case names the file and its
 first differing line, found through the per-line digests stored beside each
 file's SHA-256.
 
@@ -21,8 +20,8 @@ The rows name the config by a path relative to the repository root, and the
 rows run from there. To regenerate after a deliberate output change (in a
 commit of its own), from the repository root:
 
-    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python tests/test_default_digests.py \
-        "$(mktemp -d)" > tests/golden/default/digests.json
+    PYTHONPATH=src python tests/test_default_digests.py "$(mktemp -d)" \
+        > tests/golden/default/digests.json
 
 Row indices after the output directory run only those rows.
 """
@@ -100,7 +99,7 @@ def runs(tmp_path_factory):
     """(output directory, one record per row in ROWS order) from one run of
     every row, in the subprocesses of PARTS."""
     out = tmp_path_factory.mktemp("digests")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+    env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]))
     procs = [subprocess.Popen([sys.executable, os.path.abspath(__file__), str(out), *map(str, part)],
                               cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)

@@ -1,4 +1,3 @@
-import ctypes
 import dataclasses
 
 import numpy as np
@@ -184,18 +183,9 @@ class TestBlockedBootstrap:
 def one_blas_thread():
     # The whole (atoms, y) mixture below runs threaded in OpenBLAS from a few
     # hundred atoms on, and a threaded gemv sums in another order; the byte
-    # contract is kept on one BLAS thread, as the default digests run.
-    set_threads = numerics._openblas_function("set_num_threads")
-    if set_threads is None:
+    # contract is kept on one BLAS thread, as the CLI runs.
+    with numerics.one_blas_thread():
         yield
-        return
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    before = numerics.blas_threads()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(before)
 
 
 def _mi_whole(channel, z_atoms, weights):
