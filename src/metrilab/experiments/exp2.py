@@ -194,7 +194,7 @@ def run_exp2(cfg: Exp2Config, seed: int) -> ExperimentResult:
             "bits": cfg.bits,
             "clock_period": cfg.dt,
             "mean_resets": float(resets.mean()),
-            "cost_ratio": dig_cost / osc_cost if osc_cost > 0 else float("inf"),
+            "cost_ratio": dig_cost / osc_cost if osc_cost > 0 else None,
         },
     )
     result.add_row(substrate="oscillator", accuracy=osc_acc, I_irr=osc_cost,

@@ -160,6 +160,19 @@ class TestCLI:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["blas_threads"] == (None if blas_threads() is None else 1)
 
+    def test_exp2_meta_is_strict_json_at_zero_gamma(self, tmp_path):
+        # no dissipative channel leaves no oscillator cost to divide by
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("[exp2]\nfreqs = [0.6, 1.0]\ntrials_per_freq = 2\nhorizon = 5.0\ngamma = 0\n")
+        out = tmp_path / "out"
+        assert run_cli("exp2", "--config", str(cfg), "--out", str(out), "--quiet") == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        meta = json.loads((out / "exp2.meta.json").read_text(), parse_constant=refuse)
+        assert meta["cost_ratio"] is None
+
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two BLAS threads need two cores")
     def test_bytes_do_not_move_with_the_blas_thread_variable(self, tmp_path):
         # the last default block of four rho values: unpinned, its ridge fits
