@@ -298,7 +298,7 @@ class TestBitFlip:
                               "hopping time, not the intra-well relaxation; at barrier "
                               "4 kT the dissipation plateau within desk-scale protocol "
                               "durations sits at the kT scale, far above 0.1 kT",
-                       strict=False)
+                       strict=True)
     def test_quasistatic_dissipation_below_tenth_kT(self, default_params):
         rep = simulate_bitflip(default_params, 160.0, 400, SeededRng(6))
         assert rep.dissipated_work < 0.1 * default_params.kT
