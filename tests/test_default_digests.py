@@ -125,8 +125,10 @@ def test_rows_are_the_stored_rows(runs, stored):
     assert [r["args"] for r in got] == [r["args"] for r in stored] == ROWS
 
 
-@pytest.mark.parametrize("i", range(len(ROWS)), ids=[" ".join(args) for args in ROWS])
-def test_outputs_match_digests(runs, stored, i):
+# a row's id is its args, with the config named relative to tests/golden
+@pytest.mark.parametrize("i", range(len(ROWS)), ids=[" ".join(args).replace("tests/golden/", "") for args in ROWS])
+def test_row_digests(runs, stored, i):
+    """The row's exit code, stderr and artifacts equal its stored digests."""
     out, got = runs
     g = got[i]
     w = next((r for r in stored if r["args"] == ROWS[i]), None)
