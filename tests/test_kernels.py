@@ -1,12 +1,14 @@
-"""Each public kernel against its reference loop, run as plain Python: the
-lattice step and the double well must agree bit-exactly; patch entropy, rotor
-and ESN within 1e-12. Besides a small input, each agreement test runs a slice
-shaped like the workload that calls the kernel, small enough for the
-interpreter."""
+"""Each public kernel against its reference loop in oracles.py, run as plain
+Python: the lattice step and the double well must agree bit-exactly; patch
+entropy, rotor and ESN within 1e-12. Besides a small input, each agreement test
+runs a slice shaped like the workload that calls the kernel, small enough for
+the interpreter."""
 
 import numpy as np
 
 from metrilab import kernels as K
+from oracles import (_ca_step_loops, _doublewell_chunk_loops, _esn_collect_loops,
+                     _patch_entropy_loops, _rotor_chunk_loops)
 
 
 def random_grid(gen, h=24, w=24, hi=300):
@@ -32,7 +34,7 @@ def test_ca_step_paths_agree_and_conserve():
     assert grids[-1][0].any() and grids[-1][-1].any()
     for E in grids:
         for Kdiv in (1, 4, 8):
-            a_new, a_fl = K._ca_step_loops(E, np.int64(Kdiv), K.MOORE_OFFSETS)
+            a_new, a_fl = _ca_step_loops(E, np.int64(Kdiv), K.MOORE_OFFSETS)
             b_new, b_fl = K.ca_step(E, Kdiv)
             assert a_new.sum() == E.sum() == b_new.sum()
             assert np.array_equal(a_new, b_new)
@@ -45,7 +47,7 @@ def test_patch_entropy_paths_agree():
     small = gen.integers(0, 200, size=(40, 40)).astype(np.int64)
     exp4_slice = gen.integers(0, 300, size=(64, 64)).astype(np.int64)
     for E, emax, grid in ((small, 250, (9, 9)), (exp4_slice, 300, (15, 15))):
-        a = K._patch_entropy_loops(E, np.int64(8), np.int64(4), np.int64(128), np.int64(emax))
+        a = _patch_entropy_loops(E, np.int64(8), np.int64(4), np.int64(128), np.int64(emax))
         b = K.patch_entropy(E, 8, 4, 128, emax)
         assert a.shape == grid
         assert np.allclose(a, b, atol=1e-12)
@@ -77,7 +79,7 @@ def test_patch_entropy_lookup_equals_direct_formula():
     for E, w, stride, nbins, emax in cases:
         a = K.patch_entropy(E, w, stride, nbins, emax)
         assert np.array_equal(a, _patch_entropy_direct(E, w, stride, nbins, emax))
-        assert np.allclose(a, K._patch_entropy_loops(E, w, stride, nbins, emax), atol=1e-12)
+        assert np.allclose(a, _patch_entropy_loops(E, w, stride, nbins, emax), atol=1e-12)
 
 
 def test_patch_entropy_uniform_patch_is_zero():
@@ -97,7 +99,7 @@ def test_doublewell_paths_agree():
     noise = 0.06 * gen.standard_normal((steps, trials))
     args = (cs, noise, 1.0, 2.0, 1.0, 1.0, 0.01)
     p_in = p.copy()
-    pa, wa = K._doublewell_chunk_loops(p.copy(), np.zeros(trials), *args)
+    pa, wa = _doublewell_chunk_loops(p.copy(), np.zeros(trials), *args)
     pb, wb = K.doublewell_chunk(p, np.zeros(trials), *args)
     assert (pa > 0).mean() > 0.5  # the barrier was crossed
     assert np.array_equal(pa, pb)
@@ -108,7 +110,7 @@ def test_doublewell_paths_agree():
     p = gen.standard_normal(trials) - 1.0
     args = (np.linspace(-2, 2, steps + 1), 0.03 * gen.standard_normal((steps, trials)),
             1.0, 2.0, 1.0, 1.0, 0.002)
-    pa, wa = K._doublewell_chunk_loops(p.copy(), np.zeros(trials), *args)
+    pa, wa = _doublewell_chunk_loops(p.copy(), np.zeros(trials), *args)
     pb, wb = K.doublewell_chunk(p, np.zeros(trials), *args)
     assert np.array_equal(pa, pb)
     assert np.array_equal(wa, wb)
@@ -128,7 +130,7 @@ def test_rotor_paths_agree_and_rotation_is_exact():
         nz = 0.01 * gen.standard_normal((steps, dim))
         sa = np.empty((steps, dim))
         sb = np.empty((steps, dim))
-        K._rotor_chunk_loops(x0.copy(), np.cos(om * dt), np.sin(om * dt), lam, bv, u, nz, dt, sa)
+        _rotor_chunk_loops(x0.copy(), np.cos(om * dt), np.sin(om * dt), lam, bv, u, nz, dt, sa)
         K.rotor_chunk(x0.copy(), om, lam, bv, u, nz, dt, sb)
         assert np.allclose(sa, sb, atol=1e-12)
     # lam = 0, no input, no noise: the reversible split step preserves the norm
@@ -221,7 +223,7 @@ def test_esn_paths_agree():
         eb = K.esn_collect(W, win, y, 0.3, nz, [np.empty((steps, n)) for _ in W])
         for Wi, got in zip(W, eb):
             ea = np.empty((steps, n))
-            K._esn_collect_loops(Wi, win, y, 0.3, nz, ea)
+            _esn_collect_loops(Wi, win, y, 0.3, nz, ea)
             assert np.allclose(ea, got, atol=1e-12)
 
 

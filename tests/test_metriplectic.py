@@ -17,6 +17,7 @@ from metrilab.metriplectic import (
     step,
 )
 from metrilab.numerics import SeededRng
+from oracles import _rotor_chunk_loops
 
 
 class TestConstruction:
@@ -167,7 +168,6 @@ class TestRotorKernelIsTheLaw:
 
     @pytest.mark.parametrize("lam", [0.01, 1.0])
     def test_simulate_matches_rotor_loops(self, lam):
-        from metrilab import kernels
         from metrilab.experiments import Exp1Config
         from metrilab.experiments.exp1 import make_input
 
@@ -183,8 +183,8 @@ class TestRotorKernelIsTheLaw:
         x0 /= np.linalg.norm(x0)
 
         states = np.empty((cfg.steps, cfg.dim))
-        kernels._rotor_chunk_loops(x0.copy(), np.cos(omegas * cfg.dt), np.sin(omegas * cfg.dt),
-                                   lam, bvec, u, noise, cfg.dt, states)
+        _rotor_chunk_loops(x0.copy(), np.cos(omegas * cfg.dt), np.sin(omegas * cfg.dt),
+                           lam, bvec, u, noise, cfg.dt, states)
 
         eye = np.eye(cfg.dim)
         sys = MetriplecticSystem(J=block_rotation(omegas, cfg.dim), R=eye, A=eye, Q=eye,
