@@ -215,9 +215,7 @@ def _checks_rows(cfg: RunConfig, seed, threads=1):
     # The near-equilibrium row runs before the walk sweep, though it is listed
     # after it: the sweep's ensembles then evict its 5x larger bootstrap index
     # from tur_check's cache, instead of leaving it resident to the end.
-    hop = 0.5 * (cc.tur_forward + cc.tur_backward)
-    f_eq = hop * cc.near_eq_ratio / (1.0 + cc.near_eq_ratio) * 2.0
-    b_eq = 2.0 * hop - f_eq
+    f_eq, b_eq = cc.near_eq_hops()
     j, sigma = biased_walk_currents(f_eq, b_eq, cc.tur_steps * 10, cc.tur_walkers * 5,
                                     SeededRng(seed).derive(9000))
     r = tur_check(j, sigma)

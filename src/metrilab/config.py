@@ -145,6 +145,18 @@ class ChecksConfig:
         if len(set(self.tight_snrs)) < len(self.tight_snrs):
             raise InvalidConfigError(f"tight_snrs must be distinct, got {self.tight_snrs}",
                                      key="tight_snrs")
+        f_eq, b_eq = self.near_eq_hops()
+        if not (f_eq > 0 and b_eq > 0):
+            raise InvalidConfigError(f"near_eq_ratio must leave both near-equilibrium hop "
+                                     f"probabilities > 0, got {self.near_eq_ratio!r} "
+                                     f"(hops {f_eq!r}, {b_eq!r})", key="near_eq_ratio")
+
+    def near_eq_hops(self):
+        """(forward, backward) hop probabilities of the near-equilibrium walk:
+        the TUR walk's total hop rate, split in the ratio near_eq_ratio."""
+        hop = 0.5 * (self.tur_forward + self.tur_backward)
+        f_eq = hop * self.near_eq_ratio / (1.0 + self.near_eq_ratio) * 2.0
+        return f_eq, 2.0 * hop - f_eq
 
 
 @dataclass(frozen=True)

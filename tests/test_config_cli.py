@@ -348,6 +348,9 @@ class TestCLI:
         _config_error("exp2", "[exp2]\nalpha = 0\n", "exp2_alpha"),
         _config_error("exp3", "[exp3]\nperiods = [0]\n", "exp3_periods"),
         _config_error("checks", "[checks]\nnear_eq_ratio = -1\n", "checks_near_eq_ratio"),
+        # the near-equilibrium walk's backward or forward hop rounds to 0
+        _config_error("checks", "[checks]\nnear_eq_ratio = 1e16\n", "checks_near_eq_ratio_huge"),
+        _config_error("checks", "[checks]\nnear_eq_ratio = 5e-324\n", "checks_near_eq_ratio_tiny"),
         _config_error("checks", "[checks]\nclassical_T = 0\n", "checks_classical_T"),
         _config_error("bitflip", "[bitflip]\nD = 0\n", "bitflip_D"),
         _config_error("erasure", "[erasure]\nD = 0\n", "erasure_D"),
