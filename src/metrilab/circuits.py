@@ -228,11 +228,14 @@ def integrate_circuit(circuit: CircuitGraph, inputs, x0, T, dt=0.02, noise=0.0, 
     kicks = _state_kicks(circuit, noise, gen, steps, x.shape, dt)
     out = np.empty((steps + 1,) + x.shape)
     out[0] = x
-    for k in range(steps):
-        x = rk4_step(f, x, dt)
-        if kicks is not None:
-            x = x + kicks[k]  # a noiseless row adds exact zeros
-        out[k + 1] = x
+    # a saturated logistic overflows exp to inf, and 1 / (1 + inf) is exactly
+    # the 0 it saturates to
+    with np.errstate(over="ignore"):
+        for k in range(steps):
+            x = rk4_step(f, x, dt)
+            if kicks is not None:
+                x = x + kicks[k]  # a noiseless row adds exact zeros
+            out[k + 1] = x
     return out
 
 
@@ -343,9 +346,11 @@ def _feedforward_fixed_points(circuit: CircuitGraph, rows):
     inputs dict in rows."""
     u = circuit.injection(rows)
     x = np.zeros_like(u)
-    # iterate n passes: suffices for any topological depth <= n
-    for _ in range(circuit.dim):
-        x = _logistic(circuit._neg_gain, circuit.drive(x, u), circuit._bias)
+    # iterate n passes: suffices for any topological depth <= n; a saturated
+    # logistic overflows exp as in integrate_circuit
+    with np.errstate(over="ignore"):
+        for _ in range(circuit.dim):
+            x = _logistic(circuit._neg_gain, circuit.drive(x, u), circuit._bias)
     return x
 
 

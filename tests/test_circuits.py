@@ -104,6 +104,12 @@ class TestBuildAndTables:
         with pytest.raises(InvalidGateParamsError):
             build_gate("FLIPFLOP", GateParams(g_ff=0.5))
 
+    def test_saturated_gain_builds(self):
+        # at gain 1000 the logistic's exp overflows to inf, and 1 / (1 + inf)
+        # is the exact 0 it saturates to: no RuntimeWarning
+        g = build_gate("AND", GateParams(gain=1000.0))
+        assert verify_truth_table(g, logical_table("AND"), READOUT).passed
+
 
 def interval_edges(readout):
     """(value, label) at and just beside each interval edge, plus NaN."""

@@ -274,7 +274,11 @@ class TestCLI:
         ("gates", "[gates]\nh_ff = 2.5\n",
          [{"gate": "FLIPFLOP", "noise": 0.0, "counterexamples": 1},
           {"gate": "FLIPFLOP", "noise": 1e-3, "counterexamples": 1}]),
-    ], ids=["checks", "gates"])
+        # the saturated logistic's exp overflow is no warning on stderr
+        ("gates", "[gates]\ngain = 1000\n",
+         [{"gate": "FLIPFLOP", "noise": 0.0, "counterexamples": 1},
+          {"gate": "FLIPFLOP", "noise": 1e-3, "counterexamples": 1}]),
+    ], ids=["checks", "gates", "gates_gain_1000"])
     def test_failing_rows_named(self, tmp_path, capsys, subcommand, config, named, quiet):
         # each failing row is one JSON line on stderr, --quiet or not, and is
         # listed in the manifest
