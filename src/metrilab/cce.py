@@ -255,8 +255,6 @@ def _hist_entropy(samples, bins, lo, hi):
     """Differential entropy (nats) from a fixed-range histogram."""
     counts, edges = np.histogram(samples, bins=bins, range=(lo, hi))
     n = counts.sum()
-    if n == 0:
-        return 0.0
     width = edges[1] - edges[0]
     return float(merge_entropy(counts / n) + np.log(width))
 
