@@ -1,9 +1,16 @@
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from metrilab import numerics
 from metrilab.errors import SingularMatrixError
-from metrilab.numerics import SeededRng, ridge_fit, rk4_step, spectral_radius
+from metrilab.numerics import SeededRng, blas_threads, ridge_fit, rk4_step, spectral_radius
 
 
 def rk4_states(field, x0, dt, steps):
@@ -130,3 +137,34 @@ class TestSpectralRescale:
 
         rho = growth_radius(W)
         assert abs(spectral_radius(W) - rho) < 1e-3 * rho
+
+
+# the OpenBLAS count before, inside and after one_blas_thread, and after a
+# block that raises
+_PIN_PROBE = """
+import json
+from metrilab.numerics import blas_threads, one_blas_thread
+seen = [blas_threads()]
+with one_blas_thread() as inside:
+    seen += [inside, blas_threads()]
+seen.append(blas_threads())
+try:
+    with one_blas_thread():
+        raise KeyError
+except KeyError:
+    seen.append(blas_threads())
+print(json.dumps(seen))
+"""
+
+
+class TestOneBlasThread:
+    @pytest.mark.skipif(blas_threads() is None or (os.cpu_count() or 1) < 2,
+                        reason="needs OpenBLAS and two cores for two threads")
+    def test_pins_one_thread_and_restores_the_callers_count(self):
+        src = str(pathlib.Path(numerics.__file__).parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", _PIN_PROBE], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        # before, as yielded, inside, after, after the raising block
+        assert json.loads(out) == [2, 1, 1, 2, 2]
