@@ -263,16 +263,19 @@ def _advance(params: DoubleWellParams, p, work, sched, gen, sigma, inv_gamma, st
     """March over `sched` (one more entry than steps) to `step` of `phase`.
 
     The noise is drawn and the kernel stepped a block of steps at a time; the
-    generator's stream is sequential, so the draws equal one whole draw. A
-    non-finite state at the end raises IntegrationDivergedError; the overflow
-    warnings on the way there are silenced because that error reports the
-    divergence."""
+    generator's stream is sequential, so the draws equal one whole draw. The
+    blocks are drawn into one buffer per call and scaled in place, so a long
+    march does not allocate and re-fault a fresh draw per block. A non-finite
+    state at the end raises IntegrationDivergedError; the overflow warnings
+    on the way there are silenced because that error reports the divergence."""
     steps = len(sched) - 1
     block = max(1, BLOCK_ELEMENTS // p.size)
+    buf = np.empty((min(block, steps), p.size))
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(0, steps, block):
             m = min(block, steps - s)
-            noise = sigma * gen.standard_normal((m, p.size))
+            noise = gen.standard_normal(out=buf[:m])
+            noise *= sigma
             p, work = kernels.doublewell_chunk(p, work, sched[s : s + m + 1], noise, params.a,
                                                params.b, params.c, inv_gamma, params.dt)
     if not np.isfinite(p).all():
@@ -315,6 +318,11 @@ def _run_protocol(params: DoubleWellParams, schedule, T_protocol, trials, rng: S
     lo, hi = float(snaps.min()), float(snaps.max())
     if hi <= lo:
         hi = lo + 1e-12
+    try:  # numpy's own test that the bins fit the range; it widens an empty range first
+        np.histogram_bin_edges(snaps[0], params.hist_bins, range=(lo, hi))
+    except ValueError:
+        raise InvalidConfigError(f"hist_bins = {params.hist_bins} finite bins do not fit the "
+                                 f"snapshot range [{lo!r}, {hi!r}]") from None
     s_sys = np.array([_hist_entropy(row, params.hist_bins, lo, hi) for row in snaps])
     frac1 = np.array([(row > 0).mean() for row in snaps])
     frac0 = 1.0 - frac1

@@ -44,7 +44,7 @@ from .circuits import (
 from .config import RunConfig, parse_config
 from .errors import AmbiguousStateError, InvalidConfigError, MetrilabError
 from .experiments import run_exp1, run_exp2, run_exp3, run_exp4
-from .experiments.base import ExperimentResult, jsonable, sweep, write_json, write_result
+from .experiments.base import ExperimentResult, json_default, sweep, write_json, write_result
 from .metrics import (
     biased_walk_currents,
     classical_bound_check,
@@ -368,7 +368,7 @@ def main(argv=None):
     if not args.quiet:
         print(run.summary)
     for row in run.failures:
-        print(json.dumps(jsonable({"error": "check-failed", **row})), file=sys.stderr)
+        print(json.dumps({"error": "check-failed", **row}, default=json_default), file=sys.stderr)
     code = EXIT_CHECK_FAILED if run.failures else EXIT_OK
 
     manifest = {

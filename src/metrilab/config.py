@@ -23,7 +23,6 @@ from .cce import DoubleWellParams
 from .circuits import GateParams
 from .errors import InvalidConfigError, check_fields
 from .experiments import Exp1Config, Exp2Config, Exp3Config, Exp4Config
-from .experiments.base import jsonable
 from .metrics import TUR_MIN_SAMPLES, SafetyLimits
 
 _RANGE_RE = re.compile(r"^\[\s*([^\s]+)\s*\.\.\s*([^\s]+)\s*:\s*(\d+)\s*\]$")
@@ -206,7 +205,7 @@ class RunConfig:
 
     def resolved(self):
         """Every parameter in force, defaults included."""
-        return jsonable(dataclasses.asdict(self))
+        return dataclasses.asdict(self)
 
 
 _SECTIONS = {f.name: f.type for f in fields(RunConfig) if f.name != "seed"}

@@ -1,8 +1,9 @@
 """Result tables and deterministic serialization shared by the experiment runs.
 
-CSV cells are rendered with a fixed %.12g float format and JSON sidecars are
-sorted-key pretty-printed, so identical (config, seed) pairs produce
-byte-identical artifacts.
+CSV cells are rendered with a fixed %.12g float format. JSON artifacts and
+the CLI's check-failed lines are encoded by `json` itself, with one `default`
+hook, `json_default`, for numpy arrays and scalars; sidecars are sorted-key
+pretty-printed. So identical (config, seed) pairs give byte-identical artifacts.
 """
 
 import json
@@ -51,26 +52,19 @@ class ExperimentResult:
         return "\n".join(lines) + "\n"
 
 
-def jsonable(obj):
-    """obj with numpy arrays and scalars, and tuples, turned into plain JSON types."""
-    if isinstance(obj, dict):
-        return {k: jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
+def json_default(obj):
+    """json's `default` hook: a numpy array as a list, a numpy scalar as its
+    Python value. np.float64 is a float, so json writes it as float(v) would."""
     if isinstance(obj, np.ndarray):
-        return jsonable(obj.tolist())
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+        return obj.tolist()
+    if isinstance(obj, (np.integer, np.floating, np.bool_)):
+        return obj.item()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def write_json(path, payload):
     with open(path, "w") as fh:
-        json.dump(jsonable(payload), fh, sort_keys=True, indent=2)
+        json.dump(payload, fh, sort_keys=True, indent=2, default=json_default)
         fh.write("\n")
 
 

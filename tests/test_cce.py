@@ -303,6 +303,15 @@ class TestBitFlip:
         rep = simulate_bitflip(default_params, 160.0, 400, SeededRng(6))
         assert rep.dissipated_work < 0.1 * default_params.kT
 
+    def test_collapsed_far_ensemble_keeps_numpys_widened_range(self):
+        # no tilt, and noise below the state's resolution near x = -1e5: every
+        # snapshot is one value and lo + 1e-12 rounds back to lo. numpy widens
+        # that empty range by 0.5 each way, so 128 finite bins still fit
+        params = DoubleWellParams(a=1e-10, D=1e-25, C_max=0.0)
+        rep = simulate_bitflip(params, 1.0, 20, SeededRng(0))
+        assert np.ptp(rep.per_trial["final_state"]) == 0.0
+        assert rep.series["s_sys"] == pytest.approx(np.log(1.0 / params.hist_bins), abs=1e-9)
+
     def test_merge_ledger_for_known_start_has_zero_entropy(self, default_params):
         rep = simulate_bitflip(default_params, 10.0, 200, SeededRng(7))
         merges = [e for e in rep.ledger.entries if e.kind == "merge"]

@@ -396,6 +396,13 @@ class TestCLI:
         _config_error("gates", "[gates]\ntheta_and = 5.0\n", "gates_theta_and"),
         pytest.param("monitor", None, False, 2, "config-unreadable", id="config_is_directory"),
         _config_error("monitor", b"[monitor]\nsteps = 10  # \xff\n", "config_not_utf8"),
+        # wells at +-1e150, where the noise is below the state's resolution:
+        # every snapshot is one value, and no 128 finite bins fit its range
+        _config_error("bitflip", "[bitflip]\na = 1e-300\ntrials = 20\ndurations = [1.0]\n",
+                      "bitflip_hist_range_collapsed"),
+        _config_error("checks", "[bitflip]\na = 1e-300\n[checks]\nclassical_trials = 20\n"
+                      "classical_T = 1.0\ntur_ensembles = 2\ntrace_random_channels = 0\n",
+                      "checks_hist_range_collapsed"),
         # finite states whose quartic energies or heat spread overflow
         pytest.param("bitflip", "[bitflip]\ndt = 0.5\ntrials = 20\ndurations = [1.0]\n", False, 3,
                      "numerical-failure", id="bitflip_energy_overflow"),

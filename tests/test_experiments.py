@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from metrilab.experiments import (
 )
 from metrilab import kernels
 from metrilab.experiments import exp2, exp4
-from metrilab.experiments.base import ExperimentResult
+from metrilab.experiments.base import ExperimentResult, write_json
 from metrilab.experiments.exp1 import lagged_r2, make_input
 from metrilab.experiments.exp4 import patch_outward_flux
 from metrilab.numerics import SeededRng, ridge_fit
@@ -499,3 +500,30 @@ class TestExp3:
     def test_grid_must_be_sorted(self):
         with pytest.raises(InvalidConfigError):
             Exp3Config(rho_grid=(1.0, 0.5))
+
+
+class TestWriteJson:
+    """write_json's bytes are json's own encoding of the payload's plain
+    Python twin; the digests pin them only at the shipped configs."""
+
+    def test_numpy_payload_matches_its_plain_twin(self, tmp_path):
+        payload = {
+            "f": np.float64(0.1), "nan": np.float64("nan"), "inf": np.float64("inf"),
+            "ninf": -np.float64("inf"), "f32": np.float32(0.5), "i": np.int64(-7),
+            "b": np.bool_(True), "zero_d": np.array(2.5), "grid": np.arange(6.0).reshape(2, 3) / 3,
+            "ints": np.arange(3), "pair": (np.int64(1), 2.0),
+            "nested": {"flags": np.array([True, False]), "z": [np.float64(1e-300), None, "s"]},
+        }
+        twin = {
+            "f": 0.1, "nan": float("nan"), "inf": float("inf"), "ninf": float("-inf"),
+            "f32": 0.5, "i": -7, "b": True, "zero_d": 2.5,
+            "grid": [[0.0, 1 / 3, 2 / 3], [1.0, 4 / 3, 5 / 3]], "ints": [0, 1, 2], "pair": [1, 2.0],
+            "nested": {"flags": [True, False], "z": [1e-300, None, "s"]},
+        }
+        path = tmp_path / "p.json"
+        write_json(path, payload)
+        assert path.read_text() == json.dumps(twin, sort_keys=True, indent=2) + "\n"
+
+    def test_unsupported_object_raises(self, tmp_path):
+        with pytest.raises(TypeError, match="set"):
+            write_json(tmp_path / "p.json", {"s": {1, 2}})
