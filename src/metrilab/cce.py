@@ -210,7 +210,11 @@ class DoubleWellParams:
         p = np.linspace(-half, half, FREE_ENERGY_GRID_POINTS)
         u = self.potential(p, C)
         u0 = u.min()
-        z = np.trapezoid(np.exp(-(u - u0) / self.kT), p)
+        # At tiny kT, (u - u0) / kT overflows to inf and exp(-inf) = 0 is the
+        # right limit; the grid's own minimum contributes exp(0) = 1, so z > 0.
+        with np.errstate(over="ignore"):
+            boltzmann = np.exp(-(u - u0) / self.kT)
+        z = np.trapezoid(boltzmann, p)
         return float(u0 - self.kT * np.log(z))
 
 

@@ -5,7 +5,8 @@ Each subcommand handler returns a `Run`: the result table, extra files by
 name, the failing rows and a one-line summary. `main` writes all of them,
 plus a run manifest, into the output directory through experiments.base.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure, 4 check failure.
+Exit codes: 0 success, 2 config error (an --out that cannot be made or an
+artifact that cannot be written included), 3 numerical failure, 4 check failure.
 Each failing row is printed as one JSON line on stderr (also under --quiet)
 and listed under `failures` in the manifest. CSV tables and *.meta.json /
 *.json result sidecars are byte-deterministic for a fixed (config, seed):
@@ -343,12 +344,33 @@ def main(argv=None):
     out = args.out or os.path.join("runs", args.subcommand)
     try:
         os.makedirs(out, exist_ok=True)
-    except OSError as exc:  # --out names a file, or a path that cannot be made
-        print(json.dumps({"error": "bad-output-dir", "detail": str(exc)}), file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         with one_blas_thread() as threads_in_effect:
             run = HANDLERS[args.subcommand](cfg, seed, out, max(1, args.threads))
+        code = EXIT_CHECK_FAILED if run.failures else EXIT_OK
+        if run.result is not None:
+            write_result(run.result, out)
+        for fname, payload in run.sidecars.items():
+            if isinstance(payload, str):
+                with open(os.path.join(out, fname), "w") as fh:
+                    fh.write(payload)
+            else:
+                write_json(os.path.join(out, fname), payload)
+        manifest = {
+            "subcommand": args.subcommand,
+            "config_path": args.config,
+            "seed": seed,
+            "out": out,
+            "parameters": cfg.resolved(),
+            "code_version": __version__,
+            "kernel_path": "numpy",
+            "versions": {"python": platform.python_version(), "numpy": np.__version__},
+            "blas_threads": threads_in_effect,
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+            "wall_time_s": round(time.time() - start, 3),
+            "exit_code": code,
+            "failures": run.failures,
+        }
+        write_json(os.path.join(out, "manifest.json"), manifest)
     except InvalidConfigError as exc:
         print(json.dumps({"error": "config-error", "detail": str(exc)}), file=sys.stderr)
         return EXIT_CONFIG
@@ -356,37 +378,14 @@ def main(argv=None):
         print(json.dumps({"error": "numerical-failure", "kind": type(exc).__name__,
                           "detail": str(exc)}), file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:  # --out cannot be made, or an artifact in it cannot be written
+        print(json.dumps({"error": "bad-output-dir", "detail": str(exc)}), file=sys.stderr)
+        return EXIT_CONFIG
 
-    if run.result is not None:
-        write_result(run.result, out)
-    for fname, payload in run.sidecars.items():
-        if isinstance(payload, str):
-            with open(os.path.join(out, fname), "w") as fh:
-                fh.write(payload)
-        else:
-            write_json(os.path.join(out, fname), payload)
     if not args.quiet:
         print(run.summary)
     for row in run.failures:
         print(json.dumps({"error": "check-failed", **row}, default=json_default), file=sys.stderr)
-    code = EXIT_CHECK_FAILED if run.failures else EXIT_OK
-
-    manifest = {
-        "subcommand": args.subcommand,
-        "config_path": args.config,
-        "seed": seed,
-        "out": out,
-        "parameters": cfg.resolved(),
-        "code_version": __version__,
-        "kernel_path": "numpy",
-        "versions": {"python": platform.python_version(), "numpy": np.__version__},
-        "blas_threads": threads_in_effect,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "wall_time_s": round(time.time() - start, 3),
-        "exit_code": code,
-        "failures": run.failures,
-    }
-    write_json(os.path.join(out, "manifest.json"), manifest)
     return code
 
 

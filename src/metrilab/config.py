@@ -235,8 +235,6 @@ def _coerce(section, key, value, ftype):
     elif ftype is str:
         if isinstance(value, str):
             return value
-    else:
-        return value
     raise InvalidConfigError(f"{section}.{key} has invalid type: expected {ftype.__name__}, got {value!r}")
 
 

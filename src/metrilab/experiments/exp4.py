@@ -76,41 +76,18 @@ def _border_ring(E):
     return np.concatenate([E[0, :], E[-1, :], E[:, 0], E[:, -1]])
 
 
-def _sat(F):
-    """Summed-area table with a zero row/col so rect sums are pure diffs."""
-    s = np.zeros((F.shape[0] + 1, F.shape[1] + 1), dtype=np.int64)
-    s[1:, 1:] = F.cumsum(axis=0).cumsum(axis=1)
-    return s
-
-
-def _rect_sums(sat, r0, c0, r1, c1):
-    """Inclusive-rectangle sums for vectorized corner arrays."""
-    return sat[r1 + 1, c1 + 1] - sat[r0, c1 + 1] - sat[r1 + 1, c0] + sat[r0, c0]
-
-
 def patch_outward_flux(flows, patch, stride):
-    """Total outward flow across each patch boundary from per-direction flows.
-
-    For direction d the outward part is the patch total minus the flows whose
-    target cell stays inside the patch (an inner sub-rectangle shifted
-    against d); both are summed-area-table lookups.
-    """
-    H, W = flows.shape[1:]
-    hp = (H - patch) // stride + 1
-    wp = (W - patch) // stride + 1
-    r0 = (np.arange(hp) * stride)[:, None]
-    c0 = (np.arange(wp) * stride)[None, :]
-    out = np.zeros((hp, wp), dtype=np.int64)
-    for n in range(8):
-        di, dj = int(MOORE_OFFSETS[n, 0]), int(MOORE_OFFSETS[n, 1])
-        sat = _sat(flows[n])
-        whole = _rect_sums(sat, r0, c0, r0 + patch - 1, c0 + patch - 1)
-        ir0 = r0 + max(0, -di)
-        ir1 = r0 + patch - 1 - max(0, di)
-        ic0 = c0 + max(0, -dj)
-        ic1 = c0 + patch - 1 - max(0, dj)
-        inner = _rect_sums(sat, ir0, ic0, ir1, ic1)
-        out += whole - inner
+    """Total outward flow of each patch: for each Moore direction (di, dj),
+    the sum of that direction's flows (8, H, W) over the patch cells whose
+    target cell lies outside the patch. The flows are integers, so the
+    summation order cannot change the result."""
+    out = 0
+    for n, (di, dj) in enumerate(MOORE_OFFSETS.tolist()):
+        leaves = np.ones((patch, patch), dtype=bool)
+        # the cells whose target (i + di, j + dj) stays inside the patch
+        leaves[max(0, -di):patch - max(0, di), max(0, -dj):patch - max(0, dj)] = False
+        windows = np.lib.stride_tricks.sliding_window_view(flows[n], (patch, patch))
+        out = out + windows[::stride, ::stride][..., leaves].sum(axis=-1)
     return out
 
 

@@ -1,9 +1,11 @@
-"""Plain-Python reference loops for the numpy kernels of metrilab.kernels.
+"""Plain-Python reference loops for the numpy kernels of metrilab.kernels and
+for exp4's patch outward flux.
 
 Each loop steps one cell, bin, trial or coordinate at a time, in the order the
-model is written down; tests/test_kernels.py and tests/test_metriplectic.py run
-them as oracles. The lattice step and the double well agree with their kernels
-bit for bit, so their operation order is part of what they check; patch
+model is written down; tests/test_kernels.py, tests/test_metriplectic.py and
+tests/test_experiments.py run them as oracles. The lattice step and the double
+well agree with their kernels bit for bit, so their operation order is part of
+what they check; the patch flux sums integers and agrees exactly; patch
 entropy, rotor and ESN agree within 1e-12.
 """
 
@@ -92,6 +94,25 @@ def _patch_entropy_loops(E, w, stride, nbins, emax):
                     p = counts[b] / npix
                     h -= p * np.log(p)
             out[pi, pj] = h
+    return out
+
+
+def _patch_outward_flux_loops(flows, w, stride, offs):
+    _, H, W = flows.shape
+    hp = (H - w) // stride + 1
+    wp = (W - w) // stride + 1
+    out = np.zeros((hp, wp), dtype=np.int64)
+    for pi in range(hp):
+        for pj in range(wp):
+            r0 = pi * stride
+            c0 = pj * stride
+            for n in range(8):
+                for i in range(r0, r0 + w):
+                    for j in range(c0, c0 + w):
+                        ti = i + offs[n, 0]
+                        tj = j + offs[n, 1]
+                        if not (r0 <= ti < r0 + w and c0 <= tj < c0 + w):
+                            out[pi, pj] += flows[n, i, j]
     return out
 
 

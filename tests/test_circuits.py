@@ -194,6 +194,20 @@ class TestFlipFlop:
         with pytest.raises(AmbiguousStateError):
             run_flipflop(ff, [], READOUT, hold_after=30.0)
 
+    def test_hold_ending_in_the_band_between_pulses_is_skipped(self):
+        # the 0.05-long hold between the two set pulses ends with the latch
+        # still switching, inside the undecided band: no bit is read there
+        ff = build_gate("FLIPFLOP")
+        readings, ledger = run_flipflop(ff, [("set", 2.0, 2.4), ("set", 2.45, 8.0)], READOUT,
+                                        hold_after=30.0)
+        assert readings == [(38.0, 1)]
+        assert len(ledger) == 0
+
+    def test_pulse_at_time_zero_skips_the_empty_first_hold(self):
+        ff = build_gate("FLIPFLOP")
+        readings, _ = run_flipflop(ff, [("set", 0.0, 5.0)], READOUT, hold_after=30.0)
+        assert readings == [(35.0, 1)]
+
     def test_simultaneous_pulses_race(self):
         ff = build_gate("FLIPFLOP")
         with pytest.raises(AmbiguousStateError):

@@ -15,7 +15,7 @@ from metrilab.circuits import LogicalReadout, build_gate, logical_table, run_fli
 from metrilab.cli import main
 from metrilab.config import (_SECTIONS, RunConfig, build_run_config, parse_config,
                              parse_config_text, parse_value)
-from metrilab.errors import InvalidConfigError, MetrilabError
+from metrilab.errors import AmbiguousStateError, InvalidConfigError, MetrilabError
 from metrilab.numerics import SeededRng, blas_threads
 
 
@@ -104,6 +104,12 @@ class TestParseConfig:
         value = [bad, *default[1:]] if isinstance(default, tuple) else bad
         with pytest.raises(InvalidConfigError, match=rf"\[{section}\] .*{key} must be finite"):
             build_run_config({section: {key: value}})
+
+    def test_every_field_type_is_one_the_parser_coerces(self):
+        # config._coerce checks float, int, bool, tuple and str values; a
+        # field of any other type would be rejected for every value it is given
+        types = {f.type for cls in _SECTIONS.values() for f in dataclasses.fields(cls)}
+        assert types == {float, int, bool, tuple, str}
 
     @pytest.mark.parametrize("section", _SECTIONS)
     def test_bound_declarations_stay_out_of_metadata(self, section):
@@ -220,6 +226,27 @@ class TestCLI:
         gates = {row.split(",")[0] for row in lines[1:]}
         assert gates == {"NOT", "AND", "OR", "NAND", "NOR", "XOR", "FLIPFLOP"}
         assert all(row.split(",")[2] == "1" for row in lines[1:])
+
+    def test_ambiguous_latch_read_fails_its_row(self, tmp_path, capsys, monkeypatch):
+        # a latch read that finds no stored bit fails that FLIPFLOP row with
+        # one counterexample; the run goes on and exits 4
+        calls = []
+
+        def read_latch(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                raise AmbiguousStateError("flip-flop state q=-1 qbar=-1 is not a stored bit")
+            return circuits.read_latch(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "read_latch", read_latch)
+        out = tmp_path / "g"
+        assert run_cli("gates", "--out", str(out), "--quiet") == 4
+        assert len(calls) == 2
+        lines = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert lines == [{"error": "check-failed", "gate": "FLIPFLOP", "noise": 0.0,
+                          "counterexamples": 1}]
+        rows = (out / "gates.csv").read_text().strip().splitlines()[1:]
+        assert [r for r in rows if r.startswith("FLIPFLOP")] == ["FLIPFLOP,0,0,1", "FLIPFLOP,0.001,1,0"]
 
     @pytest.mark.parametrize("noise", ("-0.1", "nan", "inf"))
     def test_gates_rejects_bad_noise(self, tmp_path, capsys, noise):
@@ -430,6 +457,26 @@ class TestCLI:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == error
 
+    @pytest.mark.parametrize("subcommand,config,blocked", [
+        ("monitor", "", "monitor.json"),
+        ("monitor", "", "manifest.json"),
+        ("exp4", "[exp4]\nheight = 64\nwidth = 64\nsteps = 30\nradius = 9\n"
+                 "peak = 120\nsave_fields = true\n", "field_t0010.npy"),
+    ], ids=["sidecar", "manifest", "exp4_field"])
+    def test_unwritable_artifact_exits_config(self, tmp_path, capsys, subcommand, config, blocked):
+        # an artifact whose path is a directory ends like an --out that
+        # cannot be made: exit 2 and one bad-output-dir line, no traceback
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        assert run_cli(subcommand, "--config", str(cfg), "--out", str(out), "--quiet") == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "bad-output-dir"
+        assert blocked in err["detail"]
+
     @pytest.mark.parametrize("config,key", [
         ("[bitflip]\ndurations = []\n", "bitflip.durations"),
         ("[bitflip]\nT_protocol = 5\n", "bitflip.T_protocol"),
@@ -466,6 +513,13 @@ class TestCLI:
         # only the power-bound rows of checks need the flux series
         cfg = tmp_path / "c.cfg"
         cfg.write_text("[bitflip]\nsnapshots = 1\ntrials = 50\ndurations = [1.0]\n")
+        assert run_cli("bitflip", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet") == 0
+
+    def test_bitflip_runs_at_tiny_kT(self, tmp_path):
+        # kT = 1e-300: the free energy's Boltzmann exponent overflows to
+        # -inf away from the minimum, which is exp's right limit, not an error
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("[bitflip]\na = 1e-10\nD = 1e-300\ntrials = 20\ndurations = [1.0]\n")
         assert run_cli("bitflip", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet") == 0
 
     def test_erasure_subcommand(self, tmp_path):

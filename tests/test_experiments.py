@@ -24,6 +24,7 @@ from metrilab.experiments.base import ExperimentResult, write_json
 from metrilab.experiments.exp1 import lagged_r2, make_input
 from metrilab.experiments.exp4 import patch_outward_flux
 from metrilab.numerics import SeededRng, ridge_fit
+from oracles import _patch_outward_flux_loops
 
 # compact configurations keep the unit tests quick; the acceptance module
 # runs the full defaults
@@ -435,6 +436,22 @@ class TestExp4:
         out = patch_outward_flux(flows, patch=4, stride=4)
         assert out[0, 0] == 5
         assert out[0, 1] == 0
+
+    @pytest.mark.parametrize("shape,patch,stride", [
+        ((9, 11), 3, 1),    # stride 1: overlapping patches
+        ((12, 12), 4, 4),   # patch == stride: a tiling
+        ((7, 9), 7, 3),     # a patch as tall as the lattice
+        ((6, 6), 6, 2),     # one patch covering the whole lattice
+        ((14, 11), 4, 3),   # ragged edge: (14 - 4) % 3 = (11 - 4) % 3 = 1
+        ((5, 6), 1, 1),     # one-cell patches: every flow leaves
+    ], ids=["stride_1", "patch_eq_stride", "patch_as_tall_as_lattice", "patch_is_lattice",
+            "ragged_edge", "one_cell_patches"])
+    def test_outward_flux_equals_loops(self, shape, patch, stride):
+        flows = np.random.default_rng(7).integers(0, 1000, (8, *shape), dtype=np.int64)
+        got = patch_outward_flux(flows, patch, stride)
+        want = _patch_outward_flux_loops(flows, patch, stride, kernels.MOORE_OFFSETS)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("cfg,seed", [
         # the stored-reference config: at K = 4 cells are capped
