@@ -42,7 +42,8 @@ class GateParams:
 
 PULSE_AMPLITUDE = 2.0  # set/reset drive of run_flipflop's pulses
 
-NODE_KINDS = ("integrator", "activation", "oscillator")
+# the parameters each node kind reads
+NODE_PARAMS = {"integrator": ("leak",), "activation": ("gain", "bias"), "oscillator": ("omega",)}
 
 
 def _logistic(neg_gain, v, bias):
@@ -57,8 +58,12 @@ class NodeSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in NODE_KINDS:
+        if self.kind not in NODE_PARAMS:
             raise ValueError(f"unknown node kind {self.kind!r}")
+        unread = sorted(set(self.params) - set(NODE_PARAMS[self.kind]))
+        if unread:
+            raise ValueError(f"{self.kind} node takes {', '.join(NODE_PARAMS[self.kind])}, "
+                             f"not {', '.join(unread)}")
         if self.kind == "integrator" and self.params.get("leak", 1.0) <= 0:
             raise ValueError("integrator leak must be positive")
         if self.kind == "oscillator" and self.params.get("omega", 1.0) <= 0:
@@ -111,9 +116,9 @@ class CircuitGraph:
         self._bias = np.array([self.nodes[m].params.get("bias", 0.0) for m in self.node_names])
         self._neg_gain = -np.array([self.nodes[m].params.get("gain", GateParams.gain) for m in self.node_names])
         self._leak = np.array([self.nodes[m].params.get("leak", 1.0) for m in self.node_names])
-        self._omega = np.array([self.nodes[m].params.get("omega", 0.0) for m in self.node_names])
+        self._omega = np.array([self.nodes[m].params.get("omega", 1.0) for m in self.node_names])
         kinds = np.array([self.nodes[m].kind for m in self.node_names])
-        self._intg, self._act, self._osc = (kinds == k for k in NODE_KINDS)
+        self._intg, self._act, self._osc = (kinds == k for k in NODE_PARAMS)
         self._all_act = bool(self._act.all())
 
     def _validate(self):
@@ -297,9 +302,9 @@ def settle_and_read(circuit: CircuitGraph, inputs, readout: LogicalReadout,
     # for the chunk starting at step s, with state s at index `window`.
     buf = np.empty((window + _SETTLE_CHUNK + 1, rows, n))
     buf[window] = 0.0 if x0 is None else x0
-    run_labels = np.full((rows, len(enc)), -2)   # labels at the step before the chunk
-    run_len = np.zeros(rows, dtype=int)
-    done = np.zeros(rows, dtype=bool)
+    # per row: the labels at the step before the chunk and the step their run began
+    run_labels = np.full((rows, len(enc)), -2)
+    run_start = np.zeros(rows, dtype=int)
     settled = SettledRows([None] * rows, np.empty((rows, n)), np.zeros(rows, dtype=int))
     for s in range(0, steps, _SETTLE_CHUNK):
         m = min(_SETTLE_CHUNK, steps - s)
@@ -307,25 +312,23 @@ def settle_and_read(circuit: CircuitGraph, inputs, readout: LogicalReadout,
         e = buf[window + 1 : window + 1 + m][:, :, enc]
         labels = readout.labels(e)
         prev = np.concatenate([run_labels[None], labels[:-1]])
-        at = np.arange(m)[:, None]
-        start = np.maximum.accumulate(np.where((labels != prev).any(axis=2), at, -1), axis=0)
-        length = np.where(start >= 0, at - start + 1, run_len + at + 1)
-        length[(labels < 0).any(axis=2)] = 0
-        kk, rr = np.nonzero((length >= window) & ~done)
+        at = s + 1 + np.arange(m)[:, None]
+        start = np.maximum.accumulate(np.where((labels != prev).any(axis=2), at, run_start), axis=0)
+        length = np.where((labels < 0).any(axis=2), 0, at - start + 1)
+        kk, rr = np.nonzero((length >= window) & (settled.steps == 0))
         still = np.abs(buf[window + 1 + kk, rr] - buf[kk + 1, rr]).max(axis=1) <= tol[rr]
         for k, r in zip(kk[still], rr[still]):
-            if not done[r]:
-                done[r] = True
+            if not settled.steps[r]:
                 settled.labels[r] = dict(zip(circuit.encoding_ports, labels[k, r].tolist()))
                 settled.states[r] = buf[window + 1 + k, r]
                 settled.steps[r] = s + 1 + k
-        if done.all():
+        if settled.steps.all():
             break
-        run_labels, run_len = labels[-1], length[-1]
+        run_labels, run_start = labels[-1], start[-1]
         buf[: window + 1] = buf[m : m + window + 1]
     else:
-        i = int(np.flatnonzero(~done)[0])
-        if run_len[i] >= window:
+        i = int(np.flatnonzero(settled.steps == 0)[0])
+        if (run_labels[i] >= 0).all() and steps - run_start[i] + 1 >= window:
             raise NonFixedPointError(
                 f"labels held but the state kept moving past t_max={readout.t_max} "
                 "(non-fixed-point attractor inside a logical interval)")
@@ -470,9 +473,11 @@ def load_circuit(text) -> CircuitGraph:
         input in2 a 1.0
         encoding out b
 
-    Unknown directives, missing, extra or malformed arguments and references
-    to undeclared nodes raise ValueError; a malformed line is named by its
-    number. Only a node line takes arguments beyond its fixed ones.
+    A node line may add the parameters of its kind (NODE_PARAMS): gain and
+    bias for activation, leak for integrator, omega for oscillator. Unknown
+    directives, missing, extra or malformed arguments, a parameter the kind
+    does not take and references to undeclared nodes raise ValueError; a
+    malformed line is named by its number.
     """
     nodes = {}
     edges = []

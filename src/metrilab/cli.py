@@ -314,6 +314,11 @@ HANDLERS = {
 }
 
 
+def _stderr_json(**fields):
+    """One JSON line on stderr: an error, or a failing check row."""
+    print(json.dumps(fields, default=json_default), file=sys.stderr)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="metrilab",
                                      description="seeded dynamics experiments and bound checks")
@@ -326,23 +331,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     start = time.time()
+    cfg = None
     try:
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)
-    except FileNotFoundError as exc:
-        print(json.dumps({"error": "config-not-found", "detail": str(exc)}), file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:  # a directory, or a file that cannot be read
-        print(json.dumps({"error": "config-unreadable", "detail": str(exc)}), file=sys.stderr)
-        return EXIT_CONFIG
-    except InvalidConfigError as exc:
-        print(json.dumps({"error": "config-error", "detail": str(exc)}), file=sys.stderr)
-        return EXIT_CONFIG
-
-    seed = cfg.seed
-    out = args.out or os.path.join("runs", args.subcommand)
-    try:
+        seed = cfg.seed
+        out = args.out or os.path.join("runs", args.subcommand)
         os.makedirs(out, exist_ok=True)
         with one_blas_thread() as threads_in_effect:
             run = HANDLERS[args.subcommand](cfg, seed, out, max(1, args.threads))
@@ -372,20 +367,20 @@ def main(argv=None):
         }
         write_json(os.path.join(out, "manifest.json"), manifest)
     except InvalidConfigError as exc:
-        print(json.dumps({"error": "config-error", "detail": str(exc)}), file=sys.stderr)
+        _stderr_json(error="config-error", detail=str(exc))
         return EXIT_CONFIG
     except MetrilabError as exc:
-        print(json.dumps({"error": "numerical-failure", "kind": type(exc).__name__,
-                          "detail": str(exc)}), file=sys.stderr)
+        _stderr_json(error="numerical-failure", kind=type(exc).__name__, detail=str(exc))
         return EXIT_NUMERICAL
-    except OSError as exc:  # --out cannot be made, or an artifact in it cannot be written
-        print(json.dumps({"error": "bad-output-dir", "detail": str(exc)}), file=sys.stderr)
+    except OSError as exc:  # the config file until it is read, then --out or an artifact in it
+        unread = "config-not-found" if isinstance(exc, FileNotFoundError) else "config-unreadable"
+        _stderr_json(error=unread if cfg is None else "bad-output-dir", detail=str(exc))
         return EXIT_CONFIG
 
     if not args.quiet:
         print(run.summary)
     for row in run.failures:
-        print(json.dumps({"error": "check-failed", **row}, default=json_default), file=sys.stderr)
+        _stderr_json(error="check-failed", **row)
     return code
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..cce import EncodingSpace, label_jumps
 from ..errors import InvalidConfigError, check_fields
 from ..numerics import SeededRng
 from .base import ExperimentResult
@@ -137,24 +138,19 @@ def _digital_classify(cfg: Exp2Config, u_obs):
     """Hysteresis-gated zero-crossing counter machine: returns per-trial
     (predicted index, reset count).
 
-    All trials step their hysteresis state together; flips[s, i] marks a
-    crossing of trial i at step s.
+    The comparator is the encoding EncodingSpace((0, 1), -h, h): a trial's
+    crossings are the label jumps of its samples, read hold-previous from
+    its starting sign, so a sample at +-h exactly or NaN keeps the state.
     """
-    steps, n_trials = u_obs.shape
+    n_trials = u_obs.shape[1]
     h = cfg.hyst_frac * cfg.amp
+    comparator = EncodingSpace((0, 1), -h, h)
     periods = 2.0 * np.pi / np.asarray(cfg.freqs)
-    flips = np.empty((steps, n_trials), dtype=bool)
-    down = np.empty(n_trials, dtype=bool)
-    state = u_obs[0] > 0
-    for s in range(steps):
-        np.greater(u_obs[s], h, out=flips[s])
-        np.less(u_obs[s], -h, out=down)
-        np.copyto(flips[s], down, where=state)
-        state ^= flips[s]
     pred = np.empty(n_trials, dtype=int)
     resets = np.empty(n_trials, dtype=int)
     for i in range(n_trials):
-        cross_times = np.flatnonzero(flips[:, i])
+        u = u_obs[:, i]
+        cross_times = np.flatnonzero(label_jumps(comparator.classify(u), start=int(u[0] > 0))[1])
         resets[i] = len(cross_times)
         if len(cross_times) < 2:
             pred[i] = 0

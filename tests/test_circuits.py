@@ -162,6 +162,12 @@ class TestSettle:
             settle_and_read(circ, [{"in": 0.0}], LogicalReadout(t_max=5.0))
         assert err.value.final_state is not None
 
+    def test_oscillator_without_omega_rotates_at_one(self):
+        # the rate the omega > 0 check assumes is the rate the node runs at
+        circ = CircuitGraph({"o": NodeSpec("oscillator")}, [], {}, {"out": "o"})
+        phase = integrate_circuit(circ, {}, np.zeros(1), T=2.0)[:, 0]
+        assert np.allclose(phase, 0.02 * np.arange(101), rtol=0.0, atol=1e-12)
+
     def test_settling_time_below_half_tmax(self):
         # measured settle horizon stays comfortably inside the budget
         fast = LogicalReadout(t_max=READOUT.t_max / 2)
@@ -245,7 +251,7 @@ def reference_field(circuit, inputs):
     bias = np.array([p.get("bias", 0.0) for p in params])
     gain = np.array([p.get("gain", GateParams.gain) for p in params])
     leak = np.array([p.get("leak", 1.0) for p in params])
-    omega = np.array([p.get("omega", 0.0) for p in params])
+    omega = np.array([p.get("omega", 1.0) for p in params])
     a, i, o = kinds == "activation", kinds == "integrator", kinds == "oscillator"
 
     def f(x):

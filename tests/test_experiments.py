@@ -231,8 +231,8 @@ def _run_bank_per_step(cfg, omega_in, phase, rng):
 
 
 def _digital_classify_per_trial(cfg, u_obs):
-    # exp2._digital_classify as it was before the trials stepped together:
-    # one Python loop over the steps of each trial
+    # the Schmitt trigger written out: one Python loop over the steps of
+    # each trial, holding the state unless a sample lies strictly beyond h
     steps, n_trials = u_obs.shape
     h = cfg.hyst_frac * cfg.amp
     periods = 2.0 * np.pi / np.asarray(cfg.freqs)
@@ -270,8 +270,8 @@ def _bank_inputs(cfg, seed):
 
 
 class TestExp2AgainstPerStepOracle:
-    """The block-drawn bank and the trials-together counter give the same
-    bits as the per-step and per-trial loops they replaced."""
+    """The block-drawn bank and the comparator read through cce.label_jumps
+    give the same bits as a per-step bank and a per-trial Schmitt loop."""
 
     # 2000 steps end in a partial block, 512 steps fill whole ones
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -288,29 +288,43 @@ class TestExp2AgainstPerStepOracle:
         for a, b in zip(got, ref):
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("hyst_frac", [0.1, 0.5, 1.2])
+    @pytest.mark.parametrize("hyst_frac", [0.0, 0.1, 0.5, 1.2])
     def test_counter_equals_per_trial(self, hyst_frac):
         cfg = Exp2Config(trials_per_freq=3, horizon=20.0, hyst_frac=hyst_frac)
         omega_in, phase, rng = _bank_inputs(cfg, 0)
         u_obs = exp2._run_bank(cfg, omega_in, phase, rng)[2]
         steps = cfg.steps
         t = cfg.dt * np.arange(steps)
-        extra = np.stack([
-            0.05 + 0.0 * t,                       # starts inside the band, never crosses
-            np.where(t < 5.0, 0.05, np.sin(t)),   # starts inside the band, then oscillates
-            np.where(t < 5.0, -0.05, np.sin(t)),  # same from below zero
-            np.zeros(steps),                      # never leaves zero
-        ], axis=1)
-        u_obs = np.concatenate([u_obs, extra], axis=1)
+        h = hyst_frac * cfg.amp
+        wave = np.sin(t)
+        beyond = np.where(wave > 0.5, 2 * h + 0.1, np.where(wave < -0.5, -(2 * h + 0.1), np.nan))
+        levels = [h, -h, 0.0, np.nan, 2 * h + 0.1, -(2 * h + 0.1), 0.05, -0.05]
+        extra = {
+            "flat": 0.05 + 0.0 * t,                              # never crosses
+            "flat_then_wave": np.where(t < 5.0, 0.05, wave),
+            "flat_below_then_wave": np.where(t < 5.0, -0.05, wave),
+            "zero": np.zeros(steps),                             # never leaves zero
+            "edges_only": h * np.sign(wave),                     # at +-h exactly, never beyond
+            "wave_via_upper_edge": np.where(np.isnan(beyond), h, beyond),
+            "wave_via_lower_edge": np.where(np.isnan(beyond), -h, beyond),
+            "wave_via_nan": beyond,                              # starts at NaN
+            "random_levels": SeededRng(7).generator().choice(levels, steps),
+        }
+        u_obs = np.concatenate([u_obs, np.stack(list(extra.values()), axis=1)], axis=1)
         pred, resets = exp2._digital_classify(cfg, u_obs)
         ref_pred, ref_resets = _digital_classify_per_trial(cfg, u_obs)
         assert np.array_equal(pred, ref_pred)
         assert np.array_equal(resets, ref_resets)
-        assert resets[-1] == resets[-4] == 0
+        got = dict(zip(extra, resets[-len(extra):].tolist()))
+        assert got["flat"] == got["zero"] == got["edges_only"] == 0
+        assert min(got[k] for k in extra if k.startswith("wave_via")) > 1
+        assert got["random_levels"] > 1
         if hyst_frac < 1.0:
-            assert resets[-3] > 1 and resets[-2] > 1
+            assert got["flat_then_wave"] > 1 and got["flat_below_then_wave"] > 1
         else:
-            assert resets.max() < 20  # a band above the amplitude leaves few crossings
+            # a band above the amplitude leaves few crossings (random_levels,
+            # the last column, jumps past it on purpose)
+            assert resets[:-1].max() < 20
 
 
 class TestCAStep:

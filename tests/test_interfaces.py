@@ -70,6 +70,7 @@ class TestCircuitText:
         "node a", "edge a b", "input in1 a", "encoding out", "circuit",
         "node a activation gain", "node a activation gain=high", "node a bogus", "edge a b heavy",
         "edge b b 1.0 junk", "input in1 b 1.0 junk", "encoding out b extra", "circuit and extra",
+        "node a activation gian=8", "node a oscillator leak=2",
     ])
     def test_malformed_circuit_line_named(self, line):
         with pytest.raises(ValueError, match="^line 3: "):
